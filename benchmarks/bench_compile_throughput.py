@@ -20,7 +20,11 @@ PR by the CI artifact:
   bitwise-identical results (docs/performance.md);
 * **tracing overhead** — the same cold sweep with an active tracer and a
   root span (so every compile stage is also recorded as a span), asserted
-  to cost < 2% of cold-sweep throughput (docs/observability.md).
+  to cost < 2% of cold-sweep throughput (docs/observability.md);
+* **simulator cost** — microseconds per untraced ``simulate_wave`` call
+  (no memo) over the full-wave shapes of the sweep space, and the wave-memo
+  hit ratio of one cold measurer sweeping ResNet-18's operators, whose
+  waves repeat across layers (docs/performance.md).
 
 Runs two ways: as a pytest benchmark inside the suite, and as a plain
 script (``python benchmarks/bench_compile_throughput.py --smoke --out
@@ -77,6 +81,23 @@ def _group_preserving_space(spec, gpu, target: int):
     return out
 
 
+def _wave_inputs(spec, space, gpu):
+    """``(ts, n_tb, active, outer_extent)`` of each launchable config's
+    full wave, truncated as ``simulate_kernel`` does by default."""
+    from repro.gpusim import CompileError, tb_per_sm
+    from repro.perfmodel import timing_spec_from_config
+
+    out = []
+    for cfg in space:
+        ts = timing_spec_from_config(spec, cfg)
+        try:
+            occ = tb_per_sm(gpu, ts.smem_bytes_per_tb, ts.regs_per_thread, ts.threads_per_tb)
+        except CompileError:
+            continue
+        out.append((ts, occ, gpu.num_sms, min(ts.outer_extent, 64)))
+    return out
+
+
 def _best_of(fn, rounds: int) -> float:
     best = float("inf")
     for _ in range(rounds):
@@ -112,6 +133,29 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
     t0 = time.perf_counter()
     measurer.sweep(sweep_spec, sweep_space)
     warm_s = time.perf_counter() - t0
+
+    # --- simulator cost per wave (no memo) ----------------------------------
+    from repro.gpusim.engine import simulate_wave
+
+    waves = _wave_inputs(sweep_spec, sweep_space, A100)
+
+    def run_waves():
+        for ts, n_tb, active, outer in waves:
+            simulate_wave(ts, A100, n_tb, active, outer_extent=outer)
+
+    wave_s = _best_of(run_waves, 3)
+
+    from repro.models.zoo import build_resnet18
+
+    memo_measurer = Measurer(A100, via_ir=False)
+    for op in build_resnet18().gemm_ops:
+        try:
+            op_space = enumerate_space(
+                op.spec, A100, options=SpaceOptions(max_size=16 if quick else 64)
+            )
+        except ValueError:  # untileable op: nothing to sweep
+            continue
+        memo_measurer.sweep(op.spec, op_space)
 
     # --- incremental engine vs fresh-per-config, identity-checked -----------
     from repro.ir.printer import format_kernel
@@ -224,6 +268,9 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
         "traced_cold_configs_per_s": len(guard_space) / traced_s,
         "tracing_overhead_pct": overhead_pct,
         "stage_time_s": dict(measurer.stage_times.ordered()),
+        "simulate_waves": len(waves),
+        "simulate_us_per_wave": 1e6 * wave_s / len(waves),
+        "wave_memo_hit_ratio": memo_measurer.telemetry.wave_memo_hit_ratio,
     }
 
 
@@ -252,6 +299,11 @@ def format_table(r: dict) -> str:
         f"tracing overhead: off {r['untraced_cold_configs_per_s']:7.1f} "
         f"configs/s, on {r['traced_cold_configs_per_s']:7.1f} configs/s "
         f"({r['tracing_overhead_pct']:+.2f}%)"
+    )
+    lines.append(
+        f"simulator: {r['simulate_us_per_wave']:.0f} us/wave over "
+        f"{r['simulate_waves']} full waves; ResNet-18 wave memo hit ratio "
+        f"{r['wave_memo_hit_ratio']:.3f}"
     )
     lines.append("per-stage compile breakdown (cold sweep):")
     total = sum(r["stage_time_s"].values()) or 1.0
@@ -284,6 +336,10 @@ def check_invariants(r: dict) -> None:
     assert r["incremental_stage_time_s"], (
         "incremental sweep recorded no stage breakdown"
     )
+    assert r["simulate_waves"] > 0 and r["simulate_us_per_wave"] > 0.0, (
+        "simulator cost recorded without simulating any wave"
+    )
+    assert 0.0 <= r["wave_memo_hit_ratio"] <= 1.0, r["wave_memo_hit_ratio"]
     assert r["tracing_overhead_pct"] < TRACING_OVERHEAD_CEILING_PCT, (
         f"tracing-on cold sweep costs {r['tracing_overhead_pct']:.2f}% "
         f"(ceiling {TRACING_OVERHEAD_CEILING_PCT}%): the observability "

@@ -5,8 +5,7 @@ it executes the *compiled kernel IR* (via :func:`extract_timing_spec`) under
 a discrete-event model of the memory/computation pipeline."""
 
 from .config import A100, A100_NO_ASYNC, H100, V100, GpuSpec
-from .engine import SimResult, simulate_kernel, simulate_wave
-from .events import FifoServer, Simulator
+from .engine import SimResult, WaveMemo, simulate_kernel, simulate_wave
 from .occupancy import CompileError, check_launchable, tb_per_sm
 from .spec import KernelTimingSpec, extract_timing_spec
 from .trace import format_timeline, stall_time
@@ -20,8 +19,7 @@ __all__ = [
     "SimResult",
     "simulate_kernel",
     "simulate_wave",
-    "FifoServer",
-    "Simulator",
+    "WaveMemo",
     "CompileError",
     "check_launchable",
     "tb_per_sm",

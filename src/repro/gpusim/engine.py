@@ -3,7 +3,7 @@
 One *wave* of co-resident threadblocks on a single representative SM is
 simulated event-by-event (all SMs execute the same program on symmetric
 tiles, so one SM with its fair bandwidth share represents the machine). A
-threadblock is one sequential process — exactly like the instruction stream
+threadblock is one sequential program — exactly like the instruction stream
 of the transformed kernel:
 
 * prologue: issue the first ``smem_stages - 1`` asynchronous chunk copies;
@@ -20,19 +20,31 @@ threadblocks (``N_mplx``), wave quantization, bank conflicts and exposed
 shared-memory latency are modelled here but deliberately *not* in the
 analytical model, which keeps the model's best-in-top-k below 100% as in
 the paper.
+
+The event loop (:func:`_run_wave`) is specialised to that one program:
+each threadblock's position (phase, ``ko``, ``ki``) rides on a single
+``(time, seq)`` heap, and the three FIFO servers are plain ``free_at``
+floats. Events are processed in the order a general scheduler would
+process them — earliest time first, ties to the older push — with the
+same float operations, so results are bit-for-bit those of a
+generator-per-threadblock simulation (docs/simulator.md).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+import struct
+import threading
+from collections import OrderedDict
+from heapq import heappop, heappush
+from typing import List, Optional, Tuple
 
+from ..obs import metrics as _metrics
 from .config import A100, GpuSpec
-from .events import FifoServer, Simulator
 from .occupancy import CompileError, tb_per_sm
 from .spec import KernelTimingSpec
 
-__all__ = ["SimResult", "simulate_kernel", "simulate_wave"]
+__all__ = ["SimResult", "WaveMemo", "simulate_kernel", "simulate_wave"]
 
 #: Fixed kernel launch overhead (us).
 _LAUNCH_OVERHEAD = 3.0
@@ -45,7 +57,23 @@ _TB_STAGGER = 0.01
 #: the SM's issue/shared-memory ports when copies are not cp.async; the
 #: remainder overlaps with math under warp scheduling.
 _STORE_THROUGH_FACTOR = 0.5
+#: Event budget of one wave simulation; a wave needing more raises
+#: ``RuntimeError`` instead of running for minutes.
+_MAX_EVENTS = 10_000_000
+#: Entries held by one :class:`WaveMemo` (about 0.3 KB each).
+WAVE_MEMO_SIZE = 4096
+#: Packed memo-key layout per number of non-empty operand chunks: four
+#: integers, a flag and the float inputs of :func:`_run_wave`.
+_KEY_LAYOUTS = tuple(struct.Struct(f"<4q?{8 + 2 * n}d") for n in range(3))
 
+_MEMO_HITS = _metrics.counter(
+    "repro_wave_memo_hits_total",
+    "Untraced wave simulations answered from a measurer's wave memo",
+)
+_MEMO_MISSES = _metrics.counter(
+    "repro_wave_memo_misses_total",
+    "Untraced wave simulations a measurer's wave memo had to run",
+)
 
 @dataclasses.dataclass
 class SimResult:
@@ -64,6 +92,45 @@ class SimResult:
     def tflops(self) -> float:
         """Achieved throughput in TFLOP/s."""
         return self.total_flops / self.latency_us / 1e6
+
+
+class WaveMemo:
+    """Bounded LRU of untraced wave latencies keyed by the exact scalar
+    inputs of :func:`_run_wave`, packed bit-for-bit into one ``bytes``
+    (under half the memory of the equivalent tuple).
+
+    Owned by one :class:`~repro.tuning.measure.Measurer` (never
+    process-global), so a fresh measurer always starts cold. Thread-safe:
+    a serve daemon shares one measurer across request threads.
+    """
+
+    __slots__ = ("hits", "misses", "_entries", "_lock")
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self._entries: "OrderedDict[bytes, float]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: bytes) -> Optional[float]:
+        with self._lock:
+            latency = self._entries.get(key)
+            if latency is None:
+                self.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self.hits += 1
+        (_MEMO_MISSES if latency is None else _MEMO_HITS).inc()
+        return latency
+
+    def put(self, key: bytes, latency: float) -> None:
+        with self._lock:
+            self._entries[key] = latency
+            if len(self._entries) > WAVE_MEMO_SIZE:
+                self._entries.popitem(last=False)
 
 
 def _dram_fraction(ts: KernelTimingSpec, gpu: GpuSpec, wave_tbs: int) -> float:
@@ -93,6 +160,157 @@ def _dram_fraction(ts: KernelTimingSpec, gpu: GpuSpec, wave_tbs: int) -> float:
     return min(1.0, unique / requested)
 
 
+def _check_wave(n_tb, E_o, E_i, S, rs2, chunks, d_issue, t_fill, t_store, inner,
+                sync, epi) -> None:
+    """Raise what the wave would raise, before simulating any of it.
+
+    Service times and delays are per-wave constants, so whether a request
+    with a negative service (``ValueError``) or a delay into the past
+    (``RuntimeError``) is ever made depends only on which program steps
+    run at all; the first threadblock meets them in this order. The event
+    count is exact too: one event per threadblock start and one per
+    resumption. The budget is checked before the write-back service, which
+    a threadblock only requests after its whole loop.
+    """
+    if n_tb < 1:
+        return
+    loops = max(E_o, 0)
+    issues = S > 1 or loops
+    if issues and any(l2 < 0 or dram < 0 for l2, dram in chunks):
+        raise ValueError("service and latency must be non-negative")
+    past = "event scheduled in the past; scheduler bug"
+    if issues and d_issue < 0:
+        raise RuntimeError(past)
+    if rs2 and (S >= 2 or loops) and t_fill < 0:
+        raise RuntimeError(past)
+    if loops and E_i > 0 and inner < 0:
+        raise ValueError("service and latency must be non-negative")
+    if loops and sync < 0:
+        raise RuntimeError(past)
+    per_iter = 3 + (t_store > 0.0) + (rs2 and S == 1) + max(E_i, 0)
+    resumes = S - 1 + 2 * (rs2 and S >= 2) + loops * per_iter + 1
+    if n_tb * (resumes + 1) > _MAX_EVENTS:
+        raise RuntimeError(f"simulation exceeded {_MAX_EVENTS} events")
+    if epi < 0:
+        raise ValueError("service and latency must be non-negative")
+
+
+def _run_wave(n_tb, E_o, E_i, S, rs2, chunks, mem_latency, d_issue, t_fill,
+              t_store, inner, sync, epi, write_latency, trace) -> float:
+    """Simulate one wave of ``n_tb`` threadblocks; returns the time the
+    last one finishes.
+
+    ``chunks`` holds the (L2, DRAM) service times of each non-empty
+    operand chunk; ``d_issue``, ``t_fill`` and ``sync`` are the issue,
+    fragment-load and barrier delays; ``t_store``, ``inner`` and ``epi``
+    are the store-through, inner-step and write-back service times.
+
+    Run-ahead: a threadblock whose next event is strictly earlier than the
+    heap's earliest would be popped straight back, so it continues without
+    the push/pop. On a tie it is pushed: the older entry goes first.
+    """
+    _check_wave(n_tb, E_o, E_i, S, rs2, chunks, d_issue, t_fill, t_store, inner, sync, epi)
+    # Phases: the code a threadblock runs when it next resumes.
+    INNER = 0   # inner step ``ki`` completed: request step ``ki + 1``
+    HEAD = 1    # top of outer iteration ``ko``: issue its chunk's copies
+    WAIT = 2    # wait for chunk ``ko`` to land
+    USE = 3     # start iteration ``ko``'s inner pipeline (no event boundary)
+    LANDED = 4  # chunk ``ko`` landed: trace the wait (no event boundary)
+    STORE = 5   # register-staged store of chunk ``ko`` into shared memory
+    FILL = 6    # inner-pipeline fragment load (hoisted or per-chunk refill)
+    PRO = 7     # prologue: issue chunk ``len(done)``
+    HOIST = 8   # hoisted inner prologue: wait for chunk 0
+    EPI = 9     # epilogue write-back
+    FIN = 10    # write-back landed: the threadblock finishes
+    hoist = rs2 and S >= 2
+    refill = rs2 and S == 1
+    after_store = FILL if refill else USE
+    after_land = STORE if t_store > 0.0 else after_store
+    # Untraced, nothing happens on landing, so go straight on.
+    landed = LANDED if trace is not None else after_land
+    l2_free = dram_free = m_free = 0.0
+    heap = [(i * _TB_STAGGER, i, i, PRO if S >= 2 else HEAD, 0, 0, 0.0) for i in range(n_tb)]
+    seq = n_tb
+    done_at: List[List[float]] = [[] for _ in range(n_tb)]
+    finish: List[float] = []
+    while heap:
+        now, _, tb, phase, ko, ki, mark = heappop(heap)
+        done = done_at[tb]
+        while True:
+            if phase == INNER:
+                ki += 1
+                if ki < E_i:
+                    m_free = (now if now > m_free else m_free) + inner
+                    when = m_free
+                else:
+                    if trace is not None:
+                        trace.append((tb, f"use[{ko}]", mark, now))
+                    when = now + sync
+                    ko += 1
+                    phase = HEAD
+            elif phase == HEAD or phase == PRO:
+                if phase == HEAD and ko >= E_o:
+                    phase = EPI
+                    continue
+                # Post one chunk's copies to the L2 and DRAM servers.
+                t = 0.0
+                for l2, dram in chunks:
+                    l2_free = (now if now > l2_free else l2_free) + l2
+                    dram_free = (now if now > dram_free else dram_free) + dram
+                    if l2_free > t:
+                        t = l2_free
+                    if dram_free > t:
+                        t = dram_free
+                done.append(t + mem_latency)
+                when = now + d_issue
+                if phase == HEAD:
+                    phase = WAIT
+                elif len(done) == S - 1:
+                    phase = HOIST if hoist else HEAD
+            elif phase == WAIT:
+                mark = now
+                t = done[ko]
+                when = now if now >= t else t
+                phase = landed
+            elif phase == USE:
+                mark = now
+                ki = -1
+                phase = INNER
+                continue
+            elif phase == LANDED:
+                trace.append((tb, f"smem_wait[{ko}]", mark, now))
+                phase = after_land
+                continue
+            elif phase == STORE:
+                m_free = (now if now > m_free else m_free) + t_store
+                when = m_free
+                phase = after_store
+            elif phase == FILL:
+                when = now + t_fill
+                phase = HEAD if hoist else USE
+            elif phase == HOIST:
+                t = done[0]
+                when = now if now >= t else t
+                phase = FILL
+            elif phase == EPI:
+                mark = now
+                dram_free = (now if now > dram_free else dram_free) + epi
+                t = dram_free + write_latency
+                when = now if now >= t else t
+                phase = FIN
+            else:  # FIN
+                if trace is not None:
+                    trace.append((tb, "epilogue", mark, now))
+                finish.append(now)
+                break
+            if heap and when >= heap[0][0]:
+                heappush(heap, (when, seq, tb, phase, ko, ki, mark))
+                seq += 1
+                break
+            now = when
+    return max(finish)
+
+
 def simulate_wave(
     ts: KernelTimingSpec,
     gpu: GpuSpec,
@@ -100,14 +318,16 @@ def simulate_wave(
     active_sms: int,
     collect_trace: bool = False,
     outer_extent: Optional[int] = None,
+    *,
+    _memo: Optional[WaveMemo] = None,
 ) -> Tuple[float, float, Optional[list]]:
     """Simulate one wave on a representative SM.
 
-    Returns ``(wave_latency, dram_fraction, trace)``.
+    Returns ``(wave_latency, dram_fraction, trace)``. ``_memo`` (internal,
+    passed down by the measurer) answers repeated untraced waves; traced
+    waves always simulate.
     """
     E_o = outer_extent if outer_extent is not None else ts.outer_extent
-    E_i = ts.inner_extent
-    S = ts.smem_stages
     wave_tbs = n_tb_on_sm * active_sms
     dram_frac = _dram_fraction(ts, gpu, wave_tbs)
 
@@ -135,70 +355,28 @@ def simulate_wave(
         inner_service = max(t_load, t_math) + gpu.issue_overhead
     else:
         inner_service = t_load + gpu.smem_latency + t_math + 2 * gpu.issue_overhead
-
-    sim = Simulator()
-    l2_server = FifoServer("l2")
-    dram_server = FifoServer("dram")
-    math_server = FifoServer("tensorcore")
-    trace: Optional[list] = [] if collect_trace else None
-    finish: Dict[int, float] = {}
-
-    def issue_chunk(now: float) -> float:
-        """Post one outer chunk's copies; returns their completion time."""
-        done = 0.0
-        for nbytes in (ts.a_chunk_bytes, ts.b_chunk_bytes):
-            if nbytes <= 0:
-                continue
-            t_l2 = l2_server.request(now, nbytes / l2_rate)
-            t_dram = dram_server.request(now, nbytes * dram_frac / dram_rate)
-            done = max(done, t_l2, t_dram)
-        return done + mem_latency
-
-    def tb_process(tb_idx: int):
-        smem_done: Dict[int, float] = {}
-        # Prologue: the first S-1 chunks are issued ahead of the loop.
-        for p in range(S - 1):
-            smem_done[p] = issue_chunk(sim.now)
-            yield ("delay", 2 * gpu.issue_overhead)
-        if ts.reg_stages >= 2 and S >= 2:
-            # Hoisted inner-pipeline prologue (holistic pipeline): one
-            # fragment load after the first chunk lands.
-            yield ("wait_until", smem_done[0])
-            yield ("delay", t_load + gpu.smem_latency)
-        for ko in range(E_o):
-            issue_at = sim.now
-            smem_done[ko + S - 1] = issue_chunk(sim.now)
-            yield ("delay", 2 * gpu.issue_overhead)
-            wait_start = sim.now
-            yield ("wait_until", smem_done[ko])
-            if trace is not None:
-                trace.append((tb_idx, f"smem_wait[{ko}]", wait_start, sim.now))
-            if t_store_through > 0.0:
-                # Register-staged stores into shared memory occupy the SM.
-                done = math_server.request(sim.now, t_store_through)
-                yield ("wait_until", done)
-            if ts.reg_stages >= 2 and S == 1:
-                # Recursive (non-fused) inner pipeline refills each chunk.
-                yield ("delay", t_load + gpu.smem_latency)
-            use_start = sim.now
-            for ki in range(E_i):
-                done = math_server.request(sim.now, inner_service)
-                yield ("wait_until", done)
-            if trace is not None:
-                trace.append((tb_idx, f"use[{ko}]", use_start, sim.now))
-            yield ("delay", gpu.sync_overhead)
-        # Epilogue write-back.
-        ep_start = sim.now
-        t_dram = dram_server.request(sim.now, ts.epilogue_bytes / dram_rate)
-        yield ("wait_until", t_dram + gpu.dram_write_latency)
-        if trace is not None:
-            trace.append((tb_idx, "epilogue", ep_start, sim.now))
-        finish[tb_idx] = sim.now
-
-    for i in range(n_tb_on_sm):
-        sim.add_process(tb_process(i), start_time=i * _TB_STAGGER)
-    sim.run()
-    return max(finish.values()), dram_frac, trace
+    chunks = tuple(
+        (nbytes / l2_rate, nbytes * dram_frac / dram_rate)
+        for nbytes in (ts.a_chunk_bytes, ts.b_chunk_bytes)
+        if nbytes > 0
+    )
+    times = (
+        mem_latency, 2 * gpu.issue_overhead, t_load + gpu.smem_latency, t_store_through,
+        inner_service, gpu.sync_overhead, ts.epilogue_bytes / dram_rate,
+        gpu.dram_write_latency,
+    )
+    counts = (n_tb_on_sm, E_o, ts.inner_extent, ts.smem_stages, ts.reg_stages >= 2)
+    if collect_trace:
+        trace: list = []
+        return _run_wave(*counts, chunks, *times, trace), dram_frac, trace
+    if _memo is None:
+        return _run_wave(*counts, chunks, *times, None), dram_frac, None
+    key = _KEY_LAYOUTS[len(chunks)].pack(*counts, *(t for c in chunks for t in c), *times)
+    latency = _memo.get(key)
+    if latency is None:
+        latency = _run_wave(*counts, chunks, *times, None)
+        _memo.put(key, latency)
+    return latency, dram_frac, None
 
 
 def _wave_latency_extrapolated(
@@ -208,15 +386,27 @@ def _wave_latency_extrapolated(
     active: int,
     collect_trace: bool,
     max_outer_iters: Optional[int],
+    memo: Optional[WaveMemo] = None,
 ) -> Tuple[float, float, Optional[list]]:
     """Simulate the wave, extrapolating long reduction loops from the
-    steady-state rate measured over two truncated runs."""
-    if max_outer_iters is None or ts.outer_extent <= max_outer_iters:
-        return simulate_wave(ts, gpu, n_tb, active, collect_trace)
+    steady-state rate measured over two truncated runs.
+
+    Both truncated runs must extend past the pipeline prologue and differ
+    in length, so a cap of ``smem_stages + 1`` or less simulates the whole
+    loop instead.
+    """
+    if (
+        max_outer_iters is None
+        or ts.outer_extent <= max_outer_iters
+        or max_outer_iters <= ts.smem_stages + 1
+    ):
+        return simulate_wave(ts, gpu, n_tb, active, collect_trace, _memo=memo)
     e_long = max_outer_iters
     e_short = max(ts.smem_stages + 1, max_outer_iters // 2)
-    t_long, frac, trace = simulate_wave(ts, gpu, n_tb, active, collect_trace, outer_extent=e_long)
-    t_short, _, _ = simulate_wave(ts, gpu, n_tb, active, False, outer_extent=e_short)
+    t_long, frac, trace = simulate_wave(
+        ts, gpu, n_tb, active, collect_trace, outer_extent=e_long, _memo=memo
+    )
+    t_short, _, _ = simulate_wave(ts, gpu, n_tb, active, False, outer_extent=e_short, _memo=memo)
     rate = (t_long - t_short) / (e_long - e_short)
     return t_long + rate * (ts.outer_extent - e_long), frac, trace
 
@@ -226,13 +416,16 @@ def simulate_kernel(
     gpu: GpuSpec = A100,
     collect_trace: bool = False,
     max_outer_iters: Optional[int] = 64,
+    *,
+    _memo: Optional[WaveMemo] = None,
 ) -> SimResult:
     """Simulate a full kernel launch; raises :class:`CompileError` when the
     kernel cannot be built or launched on ``gpu``.
 
     Carries the ``simulate`` fault-injection site (:mod:`repro.faults`):
     chaos plans can crash the simulator (:class:`SimulationError`) or
-    corrupt the reported latency here.
+    corrupt the reported latency here, outside the wave memo (``_memo``,
+    internal, passed down by the measurer), so neither is ever memoized.
     """
     from .. import faults
 
@@ -254,7 +447,7 @@ def simulate_kernel(
     trace = None
     if full_waves:
         wave_lat, dram_frac, trace = _wave_latency_extrapolated(
-            ts, gpu, occ, gpu.num_sms, collect_trace, max_outer_iters
+            ts, gpu, occ, gpu.num_sms, collect_trace, max_outer_iters, _memo
         )
 
     tail_lat = 0.0
@@ -262,7 +455,8 @@ def simulate_kernel(
         tail_occ = min(occ, -(-remainder // gpu.num_sms))
         tail_active = min(gpu.num_sms, -(-remainder // tail_occ))
         tail_lat, tail_frac, tail_trace = _wave_latency_extrapolated(
-            ts, gpu, tail_occ, tail_active, collect_trace and trace is None, max_outer_iters
+            ts, gpu, tail_occ, tail_active, collect_trace and trace is None, max_outer_iters,
+            _memo,
         )
         if trace is None:
             trace = tail_trace

@@ -46,7 +46,7 @@ from ..core.incremental import IncrementalEngine
 from ..core.incremental import sort_key as _incremental_sort_key
 from ..obs import metrics as _metrics
 from ..gpusim.config import A100, GpuSpec
-from ..gpusim.engine import simulate_kernel
+from ..gpusim.engine import WaveMemo, simulate_kernel
 from ..gpusim.spec import extract_timing_spec
 from ..perfmodel.static_spec import timing_spec_from_config
 from ..schedule.auto import auto_schedule
@@ -107,6 +107,15 @@ class MeasureTelemetry:
     lower_cache_bypasses: int = 0
     #: whether an incremental engine was attached at all
     incremental: bool = False
+    #: untraced wave simulations answered by the measurer's wave memo
+    wave_memo_hits: int = 0
+    #: wave simulations the memo had to run
+    wave_memo_misses: int = 0
+
+    @property
+    def wave_memo_hit_ratio(self) -> float:
+        looked_up = self.wave_memo_hits + self.wave_memo_misses
+        return self.wave_memo_hits / looked_up if looked_up else 0.0
 
     @property
     def n_measured(self) -> int:
@@ -130,10 +139,16 @@ class MeasureTelemetry:
 
     def profile_summary(self) -> str:
         """Per-stage wall-clock breakdown of the compile+simulate path,
-        with the incremental engine's stage-cache reuse next to it."""
+        with the incremental engine's stage-cache reuse and the wave
+        memo's hit ratio next to it."""
         times = profiling.StageTimes()
         times.merge(dict(self.stage_time_s))
         out = times.summary()
+        out += (
+            f"\n  wave memo        {self.wave_memo_hits} hits / "
+            f"{self.wave_memo_misses} misses "
+            f"({100.0 * self.wave_memo_hit_ratio:.0f}% hit)"
+        )
         if self.incremental:
             served = self.lower_cache_hits + self.lower_cache_misses
             reuse = 100.0 * self.lower_cache_hits / served if served else 0.0
@@ -288,6 +303,9 @@ class Measurer:
             if (via_ir if incremental is None else bool(incremental)) and via_ir
             else None
         )
+        #: untraced wave results of this measurer's simulations (bounded
+        #: LRU); per-measurer, so a fresh measurer always starts cold.
+        self.wave_memo = WaveMemo()
         # Newest measurer wins the process-wide size gauge (matching the
         # engine's own gauge convention).
         _TE_SIZE_GAUGE.set_function(lambda: len(self._te_cache))
@@ -334,6 +352,8 @@ class Measurer:
             transform_runs=self.engine.transform_runs if self.engine is not None else 0,
             lower_cache_bypasses=self.engine.bypasses if self.engine is not None else 0,
             incremental=self.engine is not None,
+            wave_memo_hits=self.wave_memo.hits,
+            wave_memo_misses=self.wave_memo.misses,
         )
 
     def _key(self, spec: GemmSpec, cfg: TileConfig) -> Tuple:
@@ -399,7 +419,9 @@ class Measurer:
                     try:
                         ts = self._build_timing_spec(spec, cfg)
                         with profiling.stage("simulate"):
-                            latency = simulate_kernel(ts, self.gpu).latency_us
+                            latency = simulate_kernel(
+                                ts, self.gpu, _memo=self.wave_memo
+                            ).latency_us
                     except (CompileError, ValueError):
                         latency = FAILED
             else:
@@ -408,7 +430,9 @@ class Measurer:
                     try:
                         ts = self._build_timing_spec(spec, cfg)
                         with profiling.stage("simulate"):
-                            latency = simulate_kernel(ts, self.gpu).latency_us
+                            latency = simulate_kernel(
+                                ts, self.gpu, _memo=self.wave_memo
+                            ).latency_us
                     except (CompileError, ValueError):
                         latency = FAILED
         except BaseException:

@@ -1,8 +1,10 @@
 """Test-only reference: the generator-based discrete-event wave engine.
 
 This is the simulator the specialised event loop in
-:mod:`repro.gpusim.engine` replaced, kept verbatim so differential tests
-can compare the two on arbitrary inputs. Each threadblock is a Python
+:mod:`repro.gpusim.engine` replaced, kept unchanged except for test hooks
+(tie and event counters on :class:`Simulator`, and the ``max_events`` /
+``sim`` arguments of :func:`simulate_wave`) so differential tests can
+compare the two on arbitrary inputs. Each threadblock is a Python
 generator yielding ``("delay", dt)`` / ``("wait_until", t)`` commands to a
 heap scheduler; the three hardware resources are :class:`FifoServer`
 objects. Not imported by anything under ``src/``.

@@ -277,3 +277,12 @@ def test_bench_smoke_checks_incremental_engine_fields(workflow):
     assert "'incremental_cold_configs_per_s' in r" in cmds
     assert "'lower_reuse_ratio' in r" in cmds
     assert "r['incremental_identity_checked'] is True" in cmds
+
+
+def test_bench_smoke_checks_simulator_fields(workflow):
+    """The throughput record must carry the simulator's per-wave cost and
+    the wave memo's hit ratio, so a slower event loop or a memo that
+    stopped hitting shows up in the artifact."""
+    cmds = "\n".join(job_commands(workflow["jobs"]["bench-smoke"]))
+    assert "r['simulate_us_per_wave'] > 0" in cmds
+    assert "0 <= r['wave_memo_hit_ratio'] <= 1" in cmds
