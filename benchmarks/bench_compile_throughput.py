@@ -24,7 +24,11 @@ PR by the CI artifact:
 * **simulator cost** — microseconds per untraced ``simulate_wave`` call
   (no memo) over the full-wave shapes of the sweep space, and the wave-memo
   hit ratio of one cold measurer sweeping ResNet-18's operators, whose
-  waves repeat across layers (docs/performance.md).
+  waves repeat across layers (docs/performance.md);
+* **pool speedup** — a cold static-spec sweep of the 1024³ space (the full
+  5376 configs; capped for ``--smoke``) on a fresh ``jobs=2`` measurer's
+  persistent workers against a fresh serial measurer. The two latency
+  lists are asserted exactly equal (docs/performance.md).
 
 Runs two ways: as a pytest benchmark inside the suite, and as a plain
 script (``python benchmarks/bench_compile_throughput.py --smoke --out
@@ -57,6 +61,10 @@ INCREMENTAL_SPEEDUP_FLOOR = 1.3
 #: The engine serves 7 of each 8-config stage group from its memoized
 #: base; the measured ratio is deterministic, the floor merely loose.
 INCREMENTAL_REUSE_FLOOR = 0.5
+#: Pool width of the pool-vs-serial row, and the ``--smoke`` space cap
+#: for it (the full run sweeps the whole 1024³ space).
+POOL_JOBS = 2
+POOL_SMOKE_CONFIGS = 1024
 
 
 def _group_preserving_space(spec, gpu, target: int):
@@ -195,6 +203,22 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
         ), f"incremental kernel for {cfg} prints differently"
     incremental_identity_checked = True
 
+    # --- persistent worker pool vs serial, identity-checked ----------------
+    pool_space = enumerate_space(
+        rank_spec, A100, options=SpaceOptions(max_size=POOL_SMOKE_CONFIGS if quick else None)
+    )
+    pool_serial_s = pool_s = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        serial_lat = Measurer(A100, via_ir=False).sweep(rank_spec, pool_space)
+        pool_serial_s = min(pool_serial_s, time.perf_counter() - t0)
+        with Measurer(A100, via_ir=False, jobs=POOL_JOBS) as pool_measurer:
+            t0 = time.perf_counter()
+            pool_lat = pool_measurer.sweep(rank_spec, pool_space)
+            pool_s = min(pool_s, time.perf_counter() - t0)
+        assert pool_lat == serial_lat, "pooled sweep changed measured latencies"
+    pool_identity_checked = True
+
     # --- tracing-on vs tracing-off overhead guard ---------------------------
     # A loaded CI runner's noise is second-scale (load spikes, frequency
     # drift), so the two modes are interleaved at *chunk* granularity
@@ -271,6 +295,12 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
         "simulate_waves": len(waves),
         "simulate_us_per_wave": 1e6 * wave_s / len(waves),
         "wave_memo_hit_ratio": memo_measurer.telemetry.wave_memo_hit_ratio,
+        "pool_jobs": POOL_JOBS,
+        "pool_space_size": len(pool_space),
+        "pool_serial_configs_per_s": len(pool_space) / pool_serial_s,
+        "pool_configs_per_s": len(pool_space) / pool_s,
+        "pool_speedup_vs_serial": pool_serial_s / pool_s,
+        "pool_identity_checked": pool_identity_checked,
     }
 
 
@@ -305,6 +335,13 @@ def format_table(r: dict) -> str:
         f"{r['simulate_waves']} full waves; ResNet-18 wave memo hit ratio "
         f"{r['wave_memo_hit_ratio']:.3f}"
     )
+    lines.append(
+        f"pool sweep (1024^3, {r['pool_space_size']} configs, static spec): "
+        f"serial {r['pool_serial_configs_per_s']:7.1f} configs/s, "
+        f"jobs={r['pool_jobs']} {r['pool_configs_per_s']:7.1f} configs/s "
+        f"({r['pool_speedup_vs_serial']:.2f}x, identity "
+        f"{'checked' if r['pool_identity_checked'] else 'SKIPPED'})"
+    )
     lines.append("per-stage compile breakdown (cold sweep):")
     total = sum(r["stage_time_s"].values()) or 1.0
     for name, s in r["stage_time_s"].items():
@@ -335,6 +372,9 @@ def check_invariants(r: dict) -> None:
     )
     assert r["incremental_stage_time_s"], (
         "incremental sweep recorded no stage breakdown"
+    )
+    assert r["pool_identity_checked"] is True, (
+        "pool speedup recorded without the bitwise identity check"
     )
     assert r["simulate_waves"] > 0 and r["simulate_us_per_wave"] > 0.0, (
         "simulator cost recorded without simulating any wave"

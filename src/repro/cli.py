@@ -72,6 +72,8 @@ def _space_cap(args):
 
 
 def _measurer(args, gpu):
+    """The command's measurer; :func:`main` closes it (stopping any
+    worker processes) when the command returns."""
     from . import faults
     from .tuning.cache import MeasurementCache
     from .tuning.measure import Measurer
@@ -79,7 +81,7 @@ def _measurer(args, gpu):
     if getattr(args, "fault_plan", None):
         faults.activate(faults.FaultPlan.parse(args.fault_plan))
     cache = MeasurementCache(args.cache_dir) if args.cache_dir else None
-    return Measurer(
+    args.measurer = Measurer(
         gpu,
         via_ir=bool(getattr(args, "via_ir", False)),
         cache=cache,
@@ -87,6 +89,7 @@ def _measurer(args, gpu):
         trial_timeout_s=args.trial_timeout if args.trial_timeout > 0 else None,
         retries=args.retries,
     )
+    return args.measurer
 
 
 def _print_telemetry(measurer, wall_s: float, profile: bool = False) -> None:
@@ -884,7 +887,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    finally:
+        if getattr(args, "measurer", None) is not None:
+            args.measurer.close()
 
 
 if __name__ == "__main__":

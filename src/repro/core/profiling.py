@@ -35,7 +35,7 @@ from typing import Dict, Iterator, List, Mapping, Tuple
 
 from ..obs import trace as _trace
 
-__all__ = ["StageTimes", "collect", "stage", "STAGE_ORDER"]
+__all__ = ["StageTimes", "collect", "credit", "stage", "STAGE_ORDER"]
 
 #: Canonical display order of the compile/measure pipeline stages.
 STAGE_ORDER: Tuple[str, ...] = (
@@ -122,6 +122,13 @@ def collect(into: StageTimes) -> Iterator[StageTimes]:
             if stack[i] is into:
                 del stack[i]
                 break
+
+
+def credit(times: Mapping[str, float]) -> None:
+    """Fold stage durations measured elsewhere (a worker process) into
+    every collector active on this thread, as if the stages had run here."""
+    for collector in _active():
+        collector.merge(times)
 
 
 class stage:

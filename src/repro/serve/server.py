@@ -335,8 +335,10 @@ class ReproServer:
         self.shutdown()
 
     def stop(self) -> None:
-        """Signal shutdown: stop accepting, let workers drain. Safe to call
-        from a request handler (never joins the calling thread)."""
+        """Signal shutdown: stop accepting, let workers drain, and stop
+        the measurer's worker processes (after any pooled batch in flight).
+        Safe to call from a request handler (never joins the calling
+        thread)."""
         self._stop_event.set()
         for sock in self._listeners:
             try:
@@ -352,6 +354,7 @@ class ReproServer:
                 conn.shutdown(socket.SHUT_RD)
             except OSError:
                 pass
+        self.measurer.close()
 
     def shutdown(self, timeout: float = 30.0) -> None:
         """Graceful stop: drain workers, then flush the registry last so
@@ -362,6 +365,8 @@ class ReproServer:
             if t is threading.current_thread():
                 continue
             t.join(timeout=max(0.0, deadline - time.monotonic()))
+        # A request that drained after stop() may have restarted the pool.
+        self.measurer.close()
         if self.socket_path is not None and os.path.exists(str(self.socket_path)):
             try:
                 os.unlink(str(self.socket_path))

@@ -11,11 +11,10 @@ scales the fleet up or down mid-sweep (:meth:`FleetCoordinator.scale_to`).
 Workers come in two kinds:
 
 :class:`LocalProcessWorker`
-    One long-lived worker *process* per fleet slot (amortizing spawn cost
-    across trials, unlike the pool's process-per-trial isolation). Each
-    trial runs through the hardened ``Measurer`` trial protocol — retry
-    with backoff, quarantine — inside the worker, so per-trial crashes
-    never surface as worker failures.
+    One long-lived worker *process* per fleet slot, like the measurer's
+    own persistent pool workers. Each trial runs through the hardened
+    ``Measurer`` trial protocol — retry with backoff, quarantine — inside
+    the worker, so per-trial crashes never surface as worker failures.
 :class:`RemoteServeWorker`
     A ``repro serve`` / ``repro fleet-worker`` daemon reached over the
     newline-JSON Unix socket or HTTP transport, answering the ``measure``

@@ -6,17 +6,21 @@ transformation, timing-spec extraction from the produced IR — and then the
 discrete-event simulator (the reproduction's "hardware"). Results are
 cached by their full identity (GPU, problem, config, measurement mode) in
 memory, optionally persisted to disk (:class:`~repro.tuning.cache.
-MeasurementCache`), and batch measurements fan out over worker processes
-(``jobs > 1``) while returning bitwise-identical latencies to the serial
-path.
+MeasurementCache`), and batch measurements fan out over persistent worker
+processes (``jobs > 1``) while returning bitwise-identical latencies to the
+serial path. Each measurer owns its workers: they start at the first
+pooled batch, keep their own warm measurer (wave memo, TE cache) across
+batches, and receive contiguous chunks of each batch, streaming one result
+per trial back to the parent, which alone commits results and telemetry.
 
 Fault tolerance (docs/robustness.md): per-trial crashes, hangs and worker
-deaths are ordinary measurement outcomes, never sweep aborts. Each pooled
-trial runs in its own process so a dying worker takes down exactly one
-attempt; crashed attempts retry with exponential backoff up to
-``retries`` times before the config is recorded :data:`FAILED` and
-quarantined; trials exceeding ``trial_timeout_s`` are terminated and
-recorded :data:`FAILED`. Crash/timeout failures are kept out of the disk
+deaths are ordinary measurement outcomes, never sweep aborts. A dying
+worker takes down exactly its in-flight attempt: it is respawned and the
+rest of its chunk requeued; crashed attempts retry with exponential
+backoff up to ``retries`` times before the config is recorded
+:data:`FAILED` and quarantined; a trial exceeding ``trial_timeout_s`` has
+its worker killed and respawned and is recorded :data:`FAILED`.
+Crash/timeout failures are kept out of the disk
 cache (they are properties of the run, not of the config), while genuine
 compile failures persist as ``inf``. The ``compile`` and ``worker``
 fault-injection sites (:mod:`repro.faults`) live here, so every one of
@@ -27,8 +31,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -195,31 +201,153 @@ def _cfg_token(spec: GemmSpec, cfg: TileConfig) -> str:
     )
 
 
-def _trial_main(conn, gpu: GpuSpec, via_ir: bool, spec: GemmSpec, cfg: TileConfig,
-                token: str) -> None:
-    """Measurement worker process: one compile+simulate in a fresh Measurer.
+#: Contiguous chunks each worker receives per pooled batch (about
+#: ``len(order) / (CHUNKS_PER_WORKER * width)`` trials per chunk): enough
+#: chunks to balance the load, few enough that the incremental engine's
+#: schedule-key reuse windows stay together (docs/performance.md).
+CHUNKS_PER_WORKER = 8
+#: Pause of the dispatch loop while every busy worker still has over two
+#: trials queued. Results then arrive in bursts rather than one wake-up
+#: each, which keeps the parent off the workers' cores.
+NAP_S = 0.001
 
-    Runs exactly the serial code path, so a pooled sweep returns the same
-    bits as a serial one. Sends ``("ok", latency, compile_s, stage_times)``
-    on success (``inf`` for genuine compile failures; ``stage_times`` is the
-    worker's per-stage breakdown dict), ``("crash", detail)`` when the
-    trial raised, and nothing at all when the process is killed outright
-    (worker death) — the parent treats silence as a crash.
+
+def _worker_main(conn) -> None:
+    """Persistent measurement worker: one private Measurer serving chunks.
+
+    Each message is ``(gpu, via_ir, plan, spec, items)`` with ``items`` a
+    list of ``(cfg, attempt)``; a closed pipe ends the loop. The worker's
+    measurer (and so its wave memo and TE cache) lives across chunks, and
+    is rebuilt only when the parent was retargeted. Every trial runs
+    exactly the serial code path, so a pooled sweep returns the same bits
+    as a serial one, and streams back ``("ok", latency, compile_s,
+    stage_times)`` (``inf`` for genuine compile failures) or ``("crash",
+    detail)`` when the trial raised. A killed worker sends nothing for its
+    in-flight trial; the parent treats the silence as a crash.
     """
-    try:
-        faults.ensure_env_plan()
-        faults.inject("worker", token=token)
-        m = Measurer(gpu, via_ir=via_ir)
-        latency = m._compile_and_time(spec, cfg, token=token)
-        conn.send(("ok", latency, m.compile_time_s, dict(m.stage_times)))
-    except Exception as e:  # crash-class fault or unexpected compiler bug
-        try:
-            conn.send(("crash", repr(e)))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        conn.close()
+    import copy
+    import signal
 
+    # Ctrl-C reaches the whole process group; the parent decides what to
+    # put down, so a worker never dies of it on its own.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    m: Optional[Measurer] = None
+    while True:
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            return
+        gpu, via_ir, plan, spec, items = msg
+        if m is None or m.gpu != gpu or m.via_ir != via_ir:
+            m = Measurer(gpu, via_ir=via_ir)
+        if m.engine is not None and len(items) > 1:
+            m.engine.note_batch(spec, [cfg for cfg, _ in items])
+        if plan is None:
+            faults.deactivate()
+        for cfg, attempt in items:
+            if plan is not None:
+                # A fresh copy per trial keeps ``max_hits`` counts per trial
+                # attempt, as when every attempt had a process of its own.
+                faults.activate(copy.deepcopy(plan), export_env=False)
+            token = f"{_cfg_token(spec, cfg)}#a{attempt}" if plan is not None else ""
+            stages = profiling.StageTimes()
+            compile_s = m.compile_time_s
+            try:
+                faults.inject("worker", token=token)
+                with profiling.collect(stages):
+                    latency = m._compile_and_time(spec, cfg, token=token)
+                reply = ("ok", latency, m.compile_time_s - compile_s, dict(stages))
+            except Exception as e:  # crash-class fault or unexpected compiler bug
+                reply = ("crash", repr(e))
+            try:
+                conn.send(reply)
+            except (BrokenPipeError, OSError):
+                return
+
+
+class _Worker:
+    """One persistent worker process and the trials it has been sent."""
+
+    __slots__ = ("proc", "conn", "items", "since", "_poll")
+
+    def __init__(self, ctx) -> None:
+        import select
+
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_worker_main, args=(child,), daemon=True)
+        self.proc.start()
+        child.close()
+        self._poll = select.poll()
+        self._poll.register(self.conn.fileno(), select.POLLIN)
+        #: unreported ``(key, cfg, attempt)`` trials of the chunks sent to
+        #: it, the in-flight one first; empty while the worker is idle
+        self.items: List[Tuple[Tuple, TileConfig, int]] = []
+        #: ``time.monotonic`` start of the in-flight trial
+        self.since = 0.0
+
+    def readable(self) -> bool:
+        """Whether a message (or EOF) is waiting, without blocking."""
+        return bool(self._poll.poll(0))
+
+    def put_down(self) -> None:
+        """Retire the worker: SIGTERM, join, escalating to SIGKILL when it
+        ignores SIGTERM (or is wedged in uninterruptible state), and always
+        release the pipe fd, so a hung trial never leaks a zombie process
+        or its descriptor."""
+        try:
+            self.proc.terminate()
+            self.proc.join(timeout=1.0)
+            if self.proc.is_alive():
+                self.proc.kill()
+                self.proc.join(timeout=1.0)
+        finally:
+            self.conn.close()
+
+
+class _WorkerPool:
+    """The persistent worker processes of one :class:`Measurer`.
+
+    Started lazily by the first pooled batch and grown to the widest batch
+    asked for. ``lock`` serialises pooled batches: the serve daemon shares
+    one measurer across request threads.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.workers: List[Optional[_Worker]] = []
+        #: worker processes ever started: first starts plus respawns
+        self.spawned = 0
+        self._owner = os.getpid()
+
+    def spawn(self, slot: int) -> _Worker:
+        """Start a worker in ``slot``, putting down the one there before."""
+        import multiprocessing as mp
+
+        while len(self.workers) <= slot:
+            self.workers.append(None)
+        self.retire(slot)
+        w = self.workers[slot] = _Worker(mp.get_context())
+        self.spawned += 1
+        return w
+
+    def retire(self, slot: int) -> None:
+        w, self.workers[slot] = self.workers[slot], None
+        if w is not None:
+            w.put_down()
+
+    def shutdown(self) -> None:
+        """Put every worker down. Also the measurer's finalizer, so it
+        takes no lock; it is a no-op in a forked child, whose copy of the
+        pool names its siblings."""
+        if os.getpid() != self._owner:
+            return
+        workers, self.workers = self.workers, []
+        for w in workers:
+            if w is not None:
+                w.proc.terminate()
+        for w in workers:
+            if w is not None:
+                w.put_down()
 
 class Measurer:
     """Compile-and-simulate with caching and fault tolerance.
@@ -228,7 +356,8 @@ class Measurer:
     failure/quarantine records are guarded by an internal lock, so one
     measurer may be shared by concurrent request threads (the
     :mod:`repro.serve` daemon) without losing counts. Compiles themselves
-    run outside the lock; only the bookkeeping serializes.
+    run outside the lock; only the bookkeeping serializes. Pooled batches
+    take turns on the measurer's one worker pool.
 
     Parameters
     ----------
@@ -246,11 +375,14 @@ class Measurer:
     jobs:
         Worker-process width for batch measurement (:meth:`sweep` /
         :meth:`measure_many`). 1 (default) keeps everything in-process
-        unless ``trial_timeout_s`` forces process isolation.
+        unless ``trial_timeout_s`` forces process isolation. Workers are
+        persistent; :meth:`close` (or ``with Measurer(...) as m``) stops
+        them, and a garbage-collected measurer reaps them too.
     trial_timeout_s:
-        Per-trial wall-clock budget. Trials exceeding it are terminated
-        and recorded :data:`FAILED`. Requires process isolation, so when
-        set, even ``jobs=1`` measurements run in a worker process.
+        Per-trial wall-clock budget. A trial exceeding it has its worker
+        killed (and respawned) and is recorded :data:`FAILED`. Requires
+        process isolation, so when set, even ``jobs=1`` measurements run
+        in a worker process.
     retries:
         How many times a crashed attempt (dead or raising worker) is
         resubmitted before the config is recorded :data:`FAILED` and
@@ -307,8 +439,10 @@ class Measurer:
         #: LRU); per-measurer, so a fresh measurer always starts cold.
         self.wave_memo = WaveMemo()
         # Newest measurer wins the process-wide size gauge (matching the
-        # engine's own gauge convention).
-        _TE_SIZE_GAUGE.set_function(lambda: len(self._te_cache))
+        # engine's own gauge convention). The gauge holds the cache, not
+        # the measurer, so a dropped measurer is still collected.
+        te_cache = self._te_cache
+        _TE_SIZE_GAUGE.set_function(lambda: len(te_cache))
         self.n_compiled = 0
         self.n_memory_hits = 0
         self.n_disk_hits = 0
@@ -328,6 +462,11 @@ class Measurer:
         self.quarantined: set = set()
         #: abnormal outcomes (crashes/timeouts) observed, newest last.
         self.failures: List[MeasureFailure] = []
+        #: persistent worker processes for pooled batches, started lazily;
+        #: reaped by :meth:`close` or, failing that, when this measurer is
+        #: garbage-collected.
+        self._pool = _WorkerPool()
+        weakref.finalize(self, self._pool.shutdown)
 
     @property
     def telemetry(self) -> MeasureTelemetry:
@@ -535,30 +674,83 @@ class Measurer:
             )
 
     # ----------------------------------------------------------------- pool
-    def _run_pool(self, spec: GemmSpec, tasks: List[Tuple[Tuple, TileConfig]],
-                  width: int, sweep_deadline: Optional[float] = None) -> None:
-        """Fault-tolerant worker pool: one process per trial attempt,
-        per-future deadlines, crash recovery with retry/backoff, quarantine
-        for repeat offenders. A dead or hung worker affects exactly its own
-        trial; the sweep always completes."""
-        import collections
-        import multiprocessing as mp
-        from multiprocessing import connection as mp_conn
+    def close(self) -> None:
+        """Stop the worker processes. Idempotent; waits for a pooled batch
+        running on another thread to finish first. The measurer stays
+        usable: a later pooled batch starts a fresh pool."""
+        with self._pool.lock:
+            self._pool.shutdown()
 
-        ctx = mp.get_context()
-        # (key, cfg, attempt, not_before_monotonic)
-        queue = collections.deque((key, cfg, 0, 0.0) for key, cfg in tasks)
-        running: Dict[object, tuple] = {}
+    def __enter__(self) -> "Measurer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _measure_pooled(self, spec: GemmSpec, order: List[Tuple[Tuple, TileConfig]],
+                        width: int, deadline: Optional[float]) -> None:
+        """Measure ``order`` on the persistent workers, one pooled batch at
+        a time. A thread still waiting for the pool when ``deadline``
+        passes raises :class:`DeadlineExceededError`."""
+        pool = self._pool
+        if deadline is None:
+            pool.lock.acquire()
+        elif not pool.lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
+            raise DeadlineExceededError(
+                f"sweep of {spec.name} ran out of its deadline waiting for the "
+                f"measurement pool; 0/{len(order)} uncached trials ran"
+            )
+        try:
+            # Another thread's batch may have measured (or quarantined)
+            # some of these while this one waited.
+            with self._lock:
+                tasks = [(key, cfg) for key, cfg in order if key not in self._cache]
+            self._pool_batch(pool, spec, tasks, width, deadline)
+        finally:
+            pool.lock.release()
+
+    def _pool_batch(self, pool: _WorkerPool, spec: GemmSpec,
+                    tasks: List[Tuple[Tuple, TileConfig]], width: int,
+                    deadline: Optional[float]) -> None:
+        """Fault-tolerant dispatch: contiguous chunks to the workers,
+        per-trial deadlines, crash recovery with retry/backoff and
+        quarantine, respawn of dead or timed-out workers. A dead or hung
+        worker costs exactly its in-flight trial; the batch always
+        completes. Results are committed here, in the calling thread, as
+        they stream in."""
+        import collections
+        import select
+
+        plan = faults.active_plan()
+        size = max(1, -(-len(tasks) // (CHUNKS_PER_WORKER * width)))
+        # (trials as (key, cfg, attempt), not_before_monotonic)
+        queue = collections.deque(
+            ([(key, cfg, 0) for key, cfg in tasks[i:i + size]], 0.0)
+            for i in range(0, len(tasks), size)
+        )
+        # One poll set per set of busy workers (rebuilt only when it changes,
+        # not on every wake-up): each worker's pipe plus its process sentinel.
+        watched: List[_Worker] = []
+        poller = select.poll()
 
         def pop_ready(now: float):
             for _ in range(len(queue)):
                 item = queue.popleft()
-                if item[3] <= now:
-                    return item
+                if item[1] <= now:
+                    return item[0]
                 queue.append(item)
             return None
 
-        def on_crash(key, cfg, attempt, detail):
+        def commit(key, cfg, payload) -> None:
+            _, latency, compile_s, stage_times = payload
+            with self._lock:
+                self.n_compiled += 1
+                self.compile_time_s += compile_s
+            self.stage_times.merge(stage_times)
+            profiling.credit(stage_times)
+            self._record(key, spec, cfg, latency)
+
+        def on_crash(key, cfg, attempt, detail) -> None:
             with self._lock:
                 self.n_crashes += 1
             self._note_failure(spec, cfg, "crash", detail, attempt)
@@ -566,7 +758,7 @@ class Measurer:
                 with self._lock:
                     self.n_retries += 1
                 queue.append(
-                    (key, cfg, attempt + 1,
+                    ([(key, cfg, attempt + 1)],
                      time.monotonic() + self.backoff_s * (2**attempt))
                 )
             else:
@@ -574,127 +766,123 @@ class Measurer:
                     self.quarantined.add(key)
                 self._record(key, spec, cfg, FAILED, persist=False)
 
-        def put_down(proc, conn):
-            """Retire one worker: join, escalating to SIGKILL when it
-            ignores SIGTERM (or is wedged in uninterruptible state), and
-            always release the pipe fd — a hung trial must never leak a
-            zombie process or its descriptor for the rest of the sweep."""
-            try:
-                proc.join(timeout=1.0)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(timeout=1.0)
-            finally:
-                conn.close()
+        def replace(slot: int, w: _Worker) -> None:
+            """Put a failed worker down, requeue its chunk's unreported
+            remainder unchanged, and respawn the slot."""
+            if w.items:
+                queue.appendleft((w.items, 0.0))
+            pool.spawn(slot)
 
-        def reap(sid):
-            proc, conn, *_ = running.pop(sid)
-            put_down(proc, conn)
+        def died(slot: int, w: _Worker) -> None:
+            key, cfg, attempt = w.items.pop(0)
+            replace(slot, w)
+            on_crash(key, cfg, attempt, f"worker died (exit code {w.proc.exitcode})")
+
+        def time_out(slot: int, w: _Worker) -> None:
+            """Kill a worker whose in-flight trial overran its budget and
+            record the trial FAILED as a timeout."""
+            w.proc.terminate()
+            # Drain the pipe once before recording the timeout: a result
+            # that landed in the race window between the deadline check and
+            # the terminate is a completed measurement, and discarding it
+            # would make retries (or a fleet coordinator) re-measure a
+            # config that actually finished.
+            payload = None
+            try:
+                if w.conn.poll(0.05):
+                    payload = w.conn.recv()
+            except (EOFError, OSError):
+                payload = None
+            key, cfg, attempt = w.items.pop(0)
+            if payload is not None and payload[0] == "ok":
+                commit(key, cfg, payload)
+            else:
+                with self._lock:
+                    self.n_timeouts += 1
+                self._note_failure(
+                    spec, cfg, "timeout",
+                    f"exceeded {self.trial_timeout_s}s wall clock", attempt,
+                )
+                self._record(key, spec, cfg, FAILED, persist=False)
+            replace(slot, w)
+
+        def busy() -> List[Tuple[int, _Worker]]:
+            return [(i, w) for i, w in enumerate(pool.workers[:width])
+                    if w is not None and w.items]
 
         try:
-            while queue or running:
-                if sweep_deadline is not None and time.monotonic() >= sweep_deadline:
-                    # Put every in-flight worker down (same escalation as a
-                    # Ctrl-C) before aborting: a deadline must never leak a
-                    # child process. Committed trials stay cached.
-                    for proc, *_ in running.values():
-                        proc.terminate()
-                    for proc, conn, *_ in running.values():
-                        put_down(proc, conn)
-                    done = len(tasks) - len(queue) - len(running)
-                    running.clear()
-                    self._deadline_check(sweep_deadline, spec, done, len(tasks))
+            while queue or busy():
                 now = time.monotonic()
-                while len(running) < width:
-                    item = pop_ready(now)
-                    if item is None:
-                        break
-                    key, cfg, attempt, _ = item
-                    if key in self.quarantined:
-                        self._record(key, spec, cfg, FAILED, persist=False)
+                if deadline is not None and now >= deadline:
+                    done = sum(key in self._cache for key, _ in tasks)
+                    self._deadline_check(deadline, spec, done, len(tasks))
+                for slot in range(width):
+                    # A worker holding less than a chunk gets its next one
+                    # before it runs dry, so it never idles on this loop.
+                    w = pool.workers[slot] if slot < len(pool.workers) else None
+                    if w is not None and len(w.items) >= size:
                         continue
-                    token = f"{_cfg_token(spec, cfg)}#a{attempt}"
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(
-                        target=_trial_main,
-                        args=(child_conn, self.gpu, self.via_ir, spec, cfg, token),
-                        daemon=True,
-                    )
-                    proc.start()
-                    child_conn.close()
-                    deadline = (
-                        now + self.trial_timeout_s
-                        if self.trial_timeout_s is not None else None
-                    )
-                    running[proc.sentinel] = (proc, parent_conn, key, cfg, attempt, deadline)
+                    items = pop_ready(now)
+                    if items is None:
+                        break
+                    if w is None or (not w.items and not w.proc.is_alive()):
+                        w = pool.spawn(slot)
+                    if not w.items:
+                        w.since = now
+                    w.items = w.items + items
+                    try:
+                        w.conn.send((self.gpu, self.via_ir, plan, spec,
+                                     [(cfg, attempt) for _, cfg, attempt in items]))
+                    except (BrokenPipeError, OSError):
+                        pass  # died since the liveness check; handled below
+                running = busy()
                 if not running:
                     # everything is backing off; wait out the shortest delay
                     time.sleep(min(self.backoff_s, 0.05))
                     continue
-                waitables = [r[1] for r in running.values()]
-                waitables += [r[0].sentinel for r in running.values()]
-                mp_conn.wait(waitables, timeout=0.05)
-                for sid in list(running):
-                    proc, conn, key, cfg, attempt, deadline = running[sid]
-                    if conn.poll():
-                        try:
-                            payload = conn.recv()
-                        except (EOFError, OSError):
-                            payload = None
-                        if payload is not None and payload[0] == "ok":
-                            _, latency, compile_s, stage_times = payload
-                            with self._lock:
-                                self.n_compiled += 1
-                                self.compile_time_s += compile_s
-                            self.stage_times.merge(stage_times)
-                            self._record(key, spec, cfg, latency)
-                        else:
-                            detail = payload[1] if payload else "worker closed pipe"
-                            on_crash(key, cfg, attempt, detail)
-                        reap(sid)
-                    elif not proc.is_alive():
-                        if conn.poll():
-                            continue  # result raced process exit; next pass
-                        on_crash(key, cfg, attempt, f"worker died (exit code {proc.exitcode})")
-                        reap(sid)
-                    elif deadline is not None and time.monotonic() > deadline:
-                        proc.terminate()
-                        # Drain the pipe once before recording the timeout: a
-                        # result that landed in the race window between the
-                        # deadline check and the terminate is a completed
-                        # measurement, and discarding it would make retries
-                        # (or a fleet coordinator) re-measure a config that
-                        # actually finished.
-                        payload = None
-                        try:
-                            if conn.poll(0.05):
-                                payload = conn.recv()
-                        except (EOFError, OSError):
-                            payload = None
-                        if payload is not None and payload[0] == "ok":
-                            _, latency, compile_s, stage_times = payload
-                            with self._lock:
-                                self.n_compiled += 1
-                                self.compile_time_s += compile_s
-                            self.stage_times.merge(stage_times)
-                            self._record(key, spec, cfg, latency)
-                        else:
-                            with self._lock:
-                                self.n_timeouts += 1
-                            self._note_failure(
-                                spec, cfg, "timeout",
-                                f"exceeded {self.trial_timeout_s}s wall clock", attempt,
-                            )
-                            self._record(key, spec, cfg, FAILED, persist=False)
-                        reap(sid)
-        except KeyboardInterrupt:
-            # Completed trials are already committed to the caches; just
-            # put the workers down before propagating (same SIGTERM →
-            # SIGKILL escalation as reap, so Ctrl-C never leaks children).
-            for proc, *_ in running.values():
-                proc.terminate()
-            for proc, conn, *_ in running.values():
-                put_down(proc, conn)
+                if [w for _, w in running] != watched:
+                    watched = [w for _, w in running]
+                    poller = select.poll()
+                    for w in watched:
+                        poller.register(w.conn.fileno(), select.POLLIN)
+                        poller.register(w.proc.sentinel, select.POLLIN)
+                ready = {fd for fd, _ in poller.poll(50)}
+                for slot, w in running:
+                    if w.conn.fileno() in ready:
+                        # Read every result that has arrived in one wake-up.
+                        while True:
+                            try:
+                                payload = w.conn.recv()
+                            except (EOFError, OSError):
+                                died(slot, w)  # the pipe broke with the worker
+                                break
+                            key, cfg, attempt = w.items.pop(0)
+                            w.since = time.monotonic()
+                            if payload[0] == "ok":
+                                commit(key, cfg, payload)
+                            else:
+                                on_crash(key, cfg, attempt, payload[1])
+                            if not (w.items and w.readable()):
+                                break
+                    elif w.proc.sentinel in ready and not w.conn.poll():
+                        died(slot, w)  # (a result that raced the exit: next pass)
+                    elif (self.trial_timeout_s is not None
+                          and time.monotonic() - w.since > self.trial_timeout_s):
+                        time_out(slot, w)
+                if all(len(w.items) > 2 for _, w in running):
+                    # Every worker has work queued: let results pile up for
+                    # a moment, so one wake-up of this loop serves several.
+                    time.sleep(NAP_S)
+        except BaseException:
+            # A sweep deadline, Ctrl-C or anything unexpected: put every
+            # busy worker down (same SIGTERM → SIGKILL escalation, so no
+            # child leaks) — its pipe may still carry results for this
+            # batch. Committed trials stay cached; idle workers stay warm.
+            stale = busy()
+            for _, w in stale:
+                w.proc.terminate()
+            for slot, _ in stale:
+                pool.retire(slot)
             raise
 
     # ------------------------------------------------------------------ api
@@ -706,17 +894,19 @@ class Measurer:
         self, spec: GemmSpec, cfgs: Sequence[TileConfig], jobs: Optional[int] = None,
         deadline: Optional[float] = None,
     ) -> List[float]:
-        """Measure a batch; fans out over worker processes.
+        """Measure a batch; fans out over the persistent worker processes.
 
         ``jobs`` explicitly overrides the pool width for this call only —
-        the measurer's configured width is never mutated, so re-entrant or
-        failed sweeps cannot leave a stale pool width behind. Cache hits
+        the measurer's configured width is never mutated (the pool itself
+        grows to the widest call), so re-entrant or failed sweeps cannot
+        leave a stale pool width behind. Cache hits
         are answered in-process; only distinct uncached configs reach the
         pool. Results (and cache writes) are merged in input order, so the
         output is identical to the serial path bit for bit.
 
         ``deadline`` (absolute ``time.monotonic`` seconds) aborts the batch
-        cleanly with :class:`DeadlineExceededError` once passed: in-flight
+        cleanly with :class:`DeadlineExceededError` once passed, also while
+        the batch still waits for another thread's pooled batch: in-flight
         workers are put down, committed results stay cached. The serving
         daemon uses this to stop burning a worker thread on a request whose
         client budget has already expired.
@@ -751,7 +941,7 @@ class Measurer:
                     self._deadline_check(deadline, spec, done, len(order))
                     self._measure_with_recovery(spec, cfg, key)
             else:
-                self._run_pool(spec, order, width, sweep_deadline=deadline)
+                self._measure_pooled(spec, order, width, deadline)
             for key, _ in order:
                 for i in pending[key]:
                     results[i] = self._cache[key]

@@ -207,6 +207,9 @@ class TestZombieReap:
             x for i, x in enumerate(clean) if i != 1
         ]
         assert m.n_timeouts == 1
+        # The wedged worker was killed and respawned; closing the measurer
+        # retires the healthy persistent workers too.
+        m.close()
         # The acceptance criterion: no child process survives the sweep.
         deadline = timelib.monotonic() + 5.0
         while timelib.monotonic() < deadline:
@@ -270,7 +273,7 @@ class TestTimeoutResultRace:
 
         from repro.tuning import measure as measure_mod
 
-        def racy_trial_main(conn, gpu, via_ir, spec, cfg, token):
+        def racy_worker_main(conn):
             # Deliver the result only when the parent's terminate() lands:
             # by then the parent has already decided "timeout", which is
             # exactly the race the drain must win.
@@ -280,9 +283,10 @@ class TestTimeoutResultRace:
                 os._exit(0)
 
             signal.signal(signal.SIGTERM, on_term)
+            conn.recv()  # the chunk holding the trial
             timelib.sleep(60.0)
 
-        monkeypatch.setattr(measure_mod, "_trial_main", racy_trial_main)
+        monkeypatch.setattr(measure_mod, "_worker_main", racy_worker_main)
         m = Measurer(A100, via_ir=False, jobs=1, trial_timeout_s=0.3, retries=0)
         got = m.measure(SPEC, space[0])
         assert got == 42.0
@@ -297,10 +301,10 @@ class TestTimeoutResultRace:
 
         from repro.tuning import measure as measure_mod
 
-        def hung_trial_main(conn, gpu, via_ir, spec, cfg, token):
+        def hung_worker_main(conn):
             timelib.sleep(60.0)
 
-        monkeypatch.setattr(measure_mod, "_trial_main", hung_trial_main)
+        monkeypatch.setattr(measure_mod, "_worker_main", hung_worker_main)
         m = Measurer(A100, via_ir=False, jobs=1, trial_timeout_s=0.3, retries=0)
         got = m.measure(SPEC, space[0])
         assert got == FAILED

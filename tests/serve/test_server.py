@@ -414,6 +414,34 @@ class TestStatus:
         assert tune_stats["p95_ms"] >= tune_stats["p50_ms"] >= 0
 
 
+class TestPooledStages:
+    def test_pooled_compile_reports_its_stages(self, tmp_path):
+        """A ``jobs=2`` daemon's cold compile credits the workers' stage
+        times to the request, and answers with the ``jobs=1`` bits."""
+        results = {}
+        for jobs in (1, 2):
+            server = ReproServer(
+                socket_path=str(tmp_path / f"j{jobs}.sock"),
+                registry=ArtifactRegistry(tmp_path / f"reg{jobs}"),
+                jobs=jobs,
+                default_space=SPACE,
+            )
+            server.start()
+            try:
+                client = ServeClient(socket_path=server.socket_path, timeout=120)
+                assert client.wait_until_ready(timeout=10)
+                results[jobs] = client.compile(**PROBLEM)
+            finally:
+                server.stop()
+                server.shutdown(timeout=10)
+        pooled, serial = results[2], results[1]
+        assert pooled["served_from"] == "fresh"
+        assert pooled["stages"]["simulate"] > 0
+        assert pooled["stages"]["spec-extract"] > 0
+        assert pooled["latency_us"] == serial["latency_us"]
+        assert pooled["config"] == serial["config"]
+
+
 class TestShutdown:
     def test_shutdown_op_stops_and_flushes(self, tmp_path):
         reg_dir = tmp_path / "reg"

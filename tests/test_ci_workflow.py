@@ -286,3 +286,13 @@ def test_bench_smoke_checks_simulator_fields(workflow):
     cmds = "\n".join(job_commands(workflow["jobs"]["bench-smoke"]))
     assert "r['simulate_us_per_wave'] > 0" in cmds
     assert "0 <= r['wave_memo_hit_ratio'] <= 1" in cmds
+
+
+def test_bench_smoke_checks_pool_speedup(workflow):
+    """The throughput record must carry the identity-checked jobs=2 pool
+    speedup over serial, floored well above the ~0.2 of the old
+    process-per-trial pool, so a fall back to it fails the job."""
+    cmds = "\n".join(job_commands(workflow["jobs"]["bench-smoke"]))
+    assert "'pool_speedup_vs_serial' in r" in cmds
+    assert "r['pool_identity_checked'] is True" in cmds
+    assert "r['pool_speedup_vs_serial'] > 0.8" in cmds
