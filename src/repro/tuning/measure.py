@@ -702,9 +702,10 @@ class Measurer:
             )
         try:
             # Another thread's batch may have measured (or quarantined)
-            # some of these while this one waited.
+            # some of these while this one waited: those are memory hits.
             with self._lock:
                 tasks = [(key, cfg) for key, cfg in order if key not in self._cache]
+                self.n_memory_hits += len(order) - len(tasks)
             self._pool_batch(pool, spec, tasks, width, deadline)
         finally:
             pool.lock.release()

@@ -101,6 +101,34 @@ class TestSharing:
         assert m._pool.spawned == 2
         m.close()
 
+    def test_stress_more_workers_than_cores(self, space, clean):
+        """Four threads with overlapping batches on a ``jobs=3`` pool, with
+        fast thread switching: no lost result, count or double compile."""
+        import sys
+
+        m = Measurer(A100, via_ir=False, jobs=3)
+        slices = [slice(0, 16), slice(8, 24), slice(4, 20), slice(0, 24)]
+        out = [None] * len(slices)
+
+        def run(i):
+            out[i] = m.measure_many(SPEC, space[slices[i]])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(slices))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert out == [clean[s] for s in slices]
+        assert m.n_compiled == len(space)
+        assert m.n_compiled + m.n_memory_hits == sum(len(space[s]) for s in slices)
+        m.close()
+
 
 class TestStaleState:
     def test_plan_activated_after_pool_start_is_honoured(self, space, clean):
