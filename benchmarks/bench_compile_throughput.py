@@ -6,21 +6,17 @@ PR by the CI artifact:
 * **batch-model speedup** — ``analytical_rank`` via the vectorized batch
   model (:mod:`repro.perfmodel.batch`) against the pre-batching scalar
   loop, on a multi-thousand-config full space;
-* **cold configs/sec** — trials through the full ``via_ir`` compiler path
-  (schedule, lower, pipelining transform, spec extraction, simulation) on
-  an empty cache, with the per-stage breakdown alongside;
+* **cold configs/sec** — measurement trials (static timing spec,
+  simulation) on an empty cache, with the per-stage breakdown alongside;
 * **warm configs/sec** — the same sweep answered from the measurement
   cache;
-* **incremental configs/sec** — the same cold compile path with the
-  incremental engine's stage-graph memoization, on a *group-preserving*
-  slice of the space (whole tile-key groups, so the pipelining-knob
-  siblings the engine reuses across are actually present), against a
-  fresh-per-config measurer on the identical slice. The two latency
-  lists are asserted exactly equal — the speedup is only recorded for
-  bitwise-identical results (docs/performance.md);
-* **tracing overhead** — the same cold sweep with an active tracer and a
+* **verified builds/sec** — ``AlcopCompiler.build`` over the same configs:
+  schedule, lower, pipelining transform with the sync check, and the
+  static≡IR spec check every returned kernel passes, with its per-stage
+  breakdown (docs/performance.md);
+* **tracing overhead** — the verified builds with an active tracer and a
   root span (so every compile stage is also recorded as a span), asserted
-  to cost < 2% of cold-sweep throughput (docs/observability.md);
+  to cost < 2% of their throughput (docs/observability.md);
 * **simulator cost** — microseconds per untraced ``simulate_wave`` call
   (no memo) over the full-wave shapes of the sweep space, and the wave-memo
   hit ratio of one cold measurer sweeping ResNet-18's operators, whose
@@ -54,39 +50,10 @@ RANK_SPEEDUP_FLOOR = 5.0
 #: percent of cold-sweep throughput. Interleaved min-of-N runs keep the
 #: measurement stable on loaded CI runners.
 TRACING_OVERHEAD_CEILING_PCT = 2.0
-#: Loose floor on the incremental-vs-fresh speedup: typically >= 2x on an
-#: idle machine; the assert tolerates a loaded CI runner, the JSON records
-#: the exact measurement.
-INCREMENTAL_SPEEDUP_FLOOR = 1.3
-#: The engine serves 7 of each 8-config stage group from its memoized
-#: base; the measured ratio is deterministic, the floor merely loose.
-INCREMENTAL_REUSE_FLOOR = 0.5
 #: Pool width of the pool-vs-serial row, and the ``--smoke`` space cap
 #: for it (the full run sweeps the whole 1024³ space).
 POOL_JOBS = 2
 POOL_SMOKE_CONFIGS = 1024
-
-
-def _group_preserving_space(spec, gpu, target: int):
-    """Whole tile-key groups (all pipelining-knob siblings) until at least
-    ``target`` configs — the strided ``max_size`` cap would scatter the
-    siblings the incremental engine reuses across."""
-    from repro.core.incremental import schedule_key
-    from repro.tuning import enumerate_space
-
-    out, seen_keys = [], []
-    groups = {}
-    for cfg in enumerate_space(spec, gpu):
-        k = schedule_key(spec, cfg)
-        if k not in groups:
-            groups[k] = []
-            seen_keys.append(k)
-        groups[k].append(cfg)
-    for k in seen_keys:
-        out.extend(groups[k])
-        if len(out) >= target:
-            break
-    return out
 
 
 def _wave_inputs(spec, space, gpu):
@@ -129,12 +96,12 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
     scalar_s = _best_of(lambda: _analytical_rank_scalar(rank_spec, rank_space), rounds)
     batch_s = _best_of(lambda: analytical_rank(rank_spec, rank_space), rounds)
 
-    # --- cold/warm sweep through the full via_ir compile path ---------------
+    # --- cold/warm measurement sweep ----------------------------------------
     sweep_spec = GemmSpec("throughput_sweep", 1, 256, 256, 256)
     sweep_space = enumerate_space(
         sweep_spec, A100, options=SpaceOptions(max_size=48 if quick else 160)
     )
-    measurer = Measurer(A100, via_ir=True, jobs=jobs)
+    measurer = Measurer(A100, jobs=jobs)
     t0 = time.perf_counter()
     measurer.sweep(sweep_spec, sweep_space)
     cold_s = time.perf_counter() - t0
@@ -155,7 +122,7 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
 
     from repro.models.zoo import build_resnet18
 
-    memo_measurer = Measurer(A100, via_ir=False)
+    memo_measurer = Measurer(A100)
     for op in build_resnet18().gemm_ops:
         try:
             op_space = enumerate_space(
@@ -165,43 +132,17 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
             continue
         memo_measurer.sweep(op.spec, op_space)
 
-    # --- incremental engine vs fresh-per-config, identity-checked -----------
-    from repro.ir.printer import format_kernel
+    # --- verified builds: the IR path every returned kernel takes ----------
+    from repro.core import profiling
+    from repro.core.compiler import AlcopCompiler
 
-    inc_space = _group_preserving_space(sweep_spec, A100, 48 if quick else 160)
-    inc_rounds = 2 if quick else 3
-    fresh_s = inc_s = float("inf")
-    fresh_lat = inc_lat = None
-    inc_measurer = None
-    for _ in range(inc_rounds):
-        m_fresh = Measurer(A100, via_ir=True, incremental=False)
+    compiler = AlcopCompiler(A100, measurer=measurer)
+    build_stages = profiling.StageTimes()
+    with profiling.collect(build_stages):
         t0 = time.perf_counter()
-        lat = m_fresh.sweep(sweep_spec, inc_space)
-        dt = time.perf_counter() - t0
-        if dt < fresh_s:
-            fresh_s, fresh_lat = dt, lat
-        m_inc = Measurer(A100, via_ir=True)
-        t0 = time.perf_counter()
-        lat = m_inc.sweep(sweep_spec, inc_space)
-        dt = time.perf_counter() - t0
-        if dt < inc_s:
-            inc_s, inc_lat, inc_measurer = dt, lat, m_inc
-    # Identity gate: the speedup is only real if the results are. Latency
-    # lists must match exactly, and the first stage group's kernels must
-    # print byte-identically through the engine's copy-on-write path.
-    assert inc_lat == fresh_lat, "incremental sweep changed measured latencies"
-    from repro.codegen.lower import lower as _lower
-    from repro.schedule.auto import auto_schedule as _auto
-    from repro.transform import apply_pipelining as _pipe
-
-    graph = inc_measurer._te_graph(sweep_spec)
-    engine = inc_measurer.engine
-    for cfg in inc_space[:8]:
-        fresh_kernel = _pipe(_lower(_auto(graph, cfg)))
-        assert format_kernel(engine.kernel(graph, sweep_spec, cfg)) == format_kernel(
-            fresh_kernel
-        ), f"incremental kernel for {cfg} prints differently"
-    incremental_identity_checked = True
+        for cfg in sweep_space:
+            compiler.build(sweep_spec, cfg)
+        build_s = time.perf_counter() - t0
 
     # --- persistent worker pool vs serial, identity-checked ----------------
     pool_space = enumerate_space(
@@ -210,9 +151,9 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
     pool_serial_s = pool_s = float("inf")
     for _ in range(rounds):
         t0 = time.perf_counter()
-        serial_lat = Measurer(A100, via_ir=False).sweep(rank_spec, pool_space)
+        serial_lat = Measurer(A100).sweep(rank_spec, pool_space)
         pool_serial_s = min(pool_serial_s, time.perf_counter() - t0)
-        with Measurer(A100, via_ir=False, jobs=POOL_JOBS) as pool_measurer:
+        with Measurer(A100, jobs=POOL_JOBS) as pool_measurer:
             t0 = time.perf_counter()
             pool_lat = pool_measurer.sweep(rank_spec, pool_space)
             pool_s = min(pool_s, time.perf_counter() - t0)
@@ -220,12 +161,13 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
     pool_identity_checked = True
 
     # --- tracing-on vs tracing-off overhead guard ---------------------------
+    # Measured on verified builds, the path that records every compile
+    # stage (schedule, lower, transform, syncheck, spec-extract) as a span.
     # A loaded CI runner's noise is second-scale (load spikes, frequency
     # drift), so the two modes are interleaved at *chunk* granularity
     # (~25 ms of work) with alternating order inside each round — any drift
     # hits both modes equally instead of being misread as tracing cost.
-    # Each chunk gets a fresh Measurer, so every sweep is genuinely cold;
-    # per-round totals are compared and the best (min) round wins: noise
+    # Per-round totals are compared and the best (min) round wins: noise
     # only ever inflates the ratio, a real regression shows in every round.
     # Rounds stop early once one lands comfortably under the ceiling, and
     # keep going (up to six) when the runner is noisy.
@@ -234,20 +176,21 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
     )
     chunks = [guard_space[i::4] for i in range(4)]
 
+    def build_chunk(chunk) -> float:
+        t0 = time.perf_counter()
+        for cfg in chunk:
+            compiler.build(sweep_spec, cfg)
+        return time.perf_counter() - t0
+
     def cold_chunk_s(chunk, traced: bool) -> float:
         from repro.obs import trace as obs_trace
 
-        m = Measurer(A100, via_ir=True, jobs=jobs)
         if traced:
             tracer = obs_trace.Tracer(capacity=1 << 18)
             with obs_trace.activate(tracer, all_threads=True):
                 with obs_trace.span("bench-cold-sweep"):
-                    t0 = time.perf_counter()
-                    m.sweep(sweep_spec, chunk)
-                    return time.perf_counter() - t0
-        t0 = time.perf_counter()
-        m.sweep(sweep_spec, chunk)
-        return time.perf_counter() - t0
+                    return build_chunk(chunk)
+        return build_chunk(chunk)
 
     cold_chunk_s(chunks[0], traced=False)  # warm both code paths
     cold_chunk_s(chunks[0], traced=True)
@@ -281,13 +224,8 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
         "cold_configs_per_s": len(sweep_space) / cold_s,
         "warm_sweep_s": warm_s,
         "warm_configs_per_s": len(sweep_space) / warm_s,
-        "incremental_space_size": len(inc_space),
-        "incremental_fresh_configs_per_s": len(inc_space) / fresh_s,
-        "incremental_cold_configs_per_s": len(inc_space) / inc_s,
-        "incremental_speedup": fresh_s / inc_s,
-        "lower_reuse_ratio": inc_measurer.engine.reuse_ratio,
-        "incremental_identity_checked": incremental_identity_checked,
-        "incremental_stage_time_s": dict(inc_measurer.stage_times.ordered()),
+        "build_configs_per_s": len(sweep_space) / build_s,
+        "build_stage_time_s": dict(build_stages.ordered()),
         "untraced_cold_configs_per_s": len(guard_space) / untraced_s,
         "traced_cold_configs_per_s": len(guard_space) / traced_s,
         "tracing_overhead_pct": overhead_pct,
@@ -305,7 +243,7 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
 
 
 def format_table(r: dict) -> str:
-    lines = ["Compile throughput — batch model and via_ir hot path"]
+    lines = ["Compile throughput — batch model, measurement sweep, verified builds"]
     lines.append(
         f"analytical rank ({r['rank_space_size']} configs): "
         f"scalar {r['scalar_rank_s'] * 1e3:7.1f} ms, "
@@ -313,21 +251,17 @@ def format_table(r: dict) -> str:
         f"speedup {r['batch_speedup']:.1f}x"
     )
     lines.append(
-        f"via_ir sweep ({r['sweep_space_size']} configs): "
+        f"measurement sweep ({r['sweep_space_size']} configs): "
         f"cold {r['cold_configs_per_s']:7.1f} configs/s, "
         f"warm {r['warm_configs_per_s']:9.1f} configs/s"
     )
     lines.append(
-        f"incremental sweep ({r['incremental_space_size']} configs, "
-        f"group-preserving): fresh {r['incremental_fresh_configs_per_s']:7.1f} "
-        f"configs/s, incremental {r['incremental_cold_configs_per_s']:7.1f} "
-        f"configs/s ({r['incremental_speedup']:.2f}x, "
-        f"reuse {r['lower_reuse_ratio']:.3f}, "
-        f"identity {'checked' if r['incremental_identity_checked'] else 'SKIPPED'})"
+        f"verified builds ({r['sweep_space_size']} configs): "
+        f"{r['build_configs_per_s']:7.1f} builds/s"
     )
     lines.append(
-        f"tracing overhead: off {r['untraced_cold_configs_per_s']:7.1f} "
-        f"configs/s, on {r['traced_cold_configs_per_s']:7.1f} configs/s "
+        f"tracing overhead (verified builds): off {r['untraced_cold_configs_per_s']:7.1f} "
+        f"builds/s, on {r['traced_cold_configs_per_s']:7.1f} builds/s "
         f"({r['tracing_overhead_pct']:+.2f}%)"
     )
     lines.append(
@@ -342,10 +276,11 @@ def format_table(r: dict) -> str:
         f"({r['pool_speedup_vs_serial']:.2f}x, identity "
         f"{'checked' if r['pool_identity_checked'] else 'SKIPPED'})"
     )
-    lines.append("per-stage compile breakdown (cold sweep):")
-    total = sum(r["stage_time_s"].values()) or 1.0
-    for name, s in r["stage_time_s"].items():
-        lines.append(f"  {name:12s} {s:8.4f}s  {100.0 * s / total:5.1f}%")
+    for title, key in (("cold sweep", "stage_time_s"), ("verified builds", "build_stage_time_s")):
+        lines.append(f"per-stage breakdown ({title}):")
+        total = sum(r[key].values()) or 1.0
+        for name, s in r[key].items():
+            lines.append(f"  {name:12s} {s:8.4f}s  {100.0 * s / total:5.1f}%")
     return "\n".join(lines)
 
 
@@ -357,21 +292,9 @@ def check_invariants(r: dict) -> None:
     assert r["warm_configs_per_s"] > r["cold_configs_per_s"], (
         "warm (cached) sweep should beat the cold compile path"
     )
-    assert r["stage_time_s"], "cold via_ir sweep recorded no stage breakdown"
-    assert r["incremental_identity_checked"] is True, (
-        "incremental sweep speedup recorded without the bitwise identity check"
-    )
-    assert r["incremental_speedup"] >= INCREMENTAL_SPEEDUP_FLOOR, (
-        f"incremental engine only {r['incremental_speedup']:.2f}x faster than "
-        f"fresh-per-config compiles (floor {INCREMENTAL_SPEEDUP_FLOOR}x)"
-    )
-    assert r["lower_reuse_ratio"] >= INCREMENTAL_REUSE_FLOOR, (
-        f"incremental engine reused only {r['lower_reuse_ratio']:.3f} of "
-        f"stage-graph builds (floor {INCREMENTAL_REUSE_FLOOR}); the sweep "
-        "ordering or keying no longer groups pipelining-knob siblings"
-    )
-    assert r["incremental_stage_time_s"], (
-        "incremental sweep recorded no stage breakdown"
+    assert r["stage_time_s"], "cold sweep recorded no stage breakdown"
+    assert {"schedule", "lower", "transform", "spec-extract"} <= set(r["build_stage_time_s"]), (
+        "verified builds recorded no compile-stage breakdown"
     )
     assert r["pool_identity_checked"] is True, (
         "pool speedup recorded without the bitwise identity check"

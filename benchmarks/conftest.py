@@ -34,9 +34,9 @@ SESSION_CACHE = None
 JOBS = 1
 
 
-def make_measurer(gpu=A100, via_ir: bool = False) -> Measurer:
+def make_measurer(gpu=A100) -> Measurer:
     """A measurer wired to the session's disk cache and process pool."""
-    return Measurer(gpu, via_ir=via_ir, cache=SESSION_CACHE, jobs=JOBS)
+    return Measurer(gpu, cache=SESSION_CACHE, jobs=JOBS)
 
 #: Cap on enumerated spaces for the exhaustive studies (strided, see
 #: SpaceOptions.max_size). Full enumeration changes nothing qualitatively

@@ -60,10 +60,6 @@ def _add_measure_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", action="store_true",
                    help="print the per-stage compile/simulate wall-clock "
                         "breakdown with the telemetry (docs/performance.md)")
-    p.add_argument("--via-ir", action="store_true",
-                   help="measure through the full compiler path (schedule/"
-                        "lower/transform/extract) instead of the static "
-                        "timing spec; slower but exercises every stage")
 
 
 def _space_cap(args):
@@ -83,7 +79,6 @@ def _measurer(args, gpu):
     cache = MeasurementCache(args.cache_dir) if args.cache_dir else None
     args.measurer = Measurer(
         gpu,
-        via_ir=bool(getattr(args, "via_ir", False)),
         cache=cache,
         jobs=args.jobs,
         trial_timeout_s=args.trial_timeout if args.trial_timeout > 0 else None,
@@ -196,6 +191,9 @@ def _cmd_tune(args) -> int:
     import contextlib
     import time
 
+    from .core import profiling
+    from .core.compiler import AlcopCompiler
+    from .obs import trace as obs_trace
     from .tuning.record import save_history
     from .tuning.session import TuneSession
     from .tuning.space import SpaceOptions, enumerate_space
@@ -251,8 +249,6 @@ def _cmd_tune(args) -> int:
     tracer = None
     trace_scope = contextlib.ExitStack()
     if args.trace_out:
-        from .obs import trace as obs_trace
-
         tracer = obs_trace.Tracer(capacity=262144)
         trace_scope.enter_context(obs_trace.activate(tracer, all_threads=True))
         trace_scope.enter_context(obs_trace.span(
@@ -283,13 +279,12 @@ def _cmd_tune(args) -> int:
         on_trial = session.log_trial if session is not None else None
         history = tuner.tune(args.trials, on_trial=on_trial)
         best_cfg = history.best_config_at(args.trials)
-        if tracer is not None and best_cfg is not None:
-            # Re-build the winning schedule under the trace so the export
-            # carries the schedule/lower/transform stage spans even when
-            # measurement went through the static timing spec.
-            from .core.compiler import AlcopCompiler
-
-            with obs_trace.span("build-best", attrs={"config": str(best_cfg)}):
+        if best_cfg is not None:
+            # Trials measured the static timing spec; build the winner
+            # through the full compiler path, which checks its IR spec
+            # against the static one (a mismatch raises CompileError).
+            with obs_trace.span("build-best", attrs={"config": str(best_cfg)}), \
+                    profiling.collect(measurer.stage_times):
                 AlcopCompiler(gpu=gpu, measurer=measurer).build(spec, best_cfg)
     except KeyboardInterrupt:
         trace_scope.close()
@@ -447,7 +442,6 @@ def _cmd_serve(args) -> int:
         cache_dir=args.cache_dir,
         jobs=args.jobs,
         workers=workers,
-        via_ir=bool(args.via_ir),
         default_space=space,
         idle_timeout=args.idle_timeout,
         max_queue=args.max_queue,
@@ -501,7 +495,6 @@ def _cmd_fleet_worker(args) -> int:
         cache_dir=args.cache_dir,
         jobs=args.jobs,
         workers=args.workers if args.workers is not None else _SERVE_WORKERS,
-        via_ir=bool(args.via_ir),
         idle_timeout=args.idle_timeout,
         max_queue=args.max_queue,
         trace_dir=args.trace_dir,
@@ -524,7 +517,7 @@ def _cmd_fleet_worker(args) -> int:
     if server.port is not None:
         where.append(f"{args.host}:{server.port}")
     print(f"repro fleet-worker: session {server.session_id} on "
-          f"{_GPUS[args.gpu].name} (via_ir={bool(args.via_ir)})")
+          f"{_GPUS[args.gpu].name}")
     for w in where:
         print(f"  enlist with: repro tune --fleet-endpoint {w.split(' ')[-1]}", flush=True)
     server.serve_forever()
@@ -795,9 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "beyond it requests are shed with a fast "
                         "'overloaded' reply instead of queueing unboundedly "
                         "(default %d)" % _SERVE_MAX_QUEUE)
-    p.add_argument("--via-ir", action="store_true",
-                   help="tune through the full compiler path instead of the "
-                        "static timing spec")
     p.add_argument("--trace-dir", default=None, metavar="DIR",
                    help="write a Chrome-trace JSON per sampled request here "
                         "(docs/observability.md)")
@@ -830,9 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-queue", type=int, default=_SERVE_MAX_QUEUE,
                    help="admission-control bound on queued connections "
                         "(default %d)" % _SERVE_MAX_QUEUE)
-    p.add_argument("--via-ir", action="store_true",
-                   help="measure through the full compiler path; must match "
-                        "the coordinator's --via-ir or the shard is refused")
     p.add_argument("--trace-dir", default=None, metavar="DIR",
                    help="write a Chrome-trace JSON per sampled request here "
                         "(docs/observability.md)")

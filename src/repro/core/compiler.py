@@ -8,7 +8,9 @@ problem:
 2. automatic schedule construction (cache reads, tiling, pipelining marks
    with the Sec. II applicability rules);
 3. lowering and the Sec. III pipelining program transformation;
-4. timing on the simulated A100 (and optional functional execution through
+4. verification: the timing spec extracted from the built IR must equal
+   the one the search measured, derived statically from the config;
+5. timing on the simulated A100 (and optional functional execution through
    the pipeline-semantics interpreter).
 
 Compiler *variants* (``alcop``, ``alcop-no-ml``, ``alcop-no-ml-no-ms``,
@@ -31,9 +33,10 @@ from ..gpusim.engine import SimResult, simulate_kernel
 from ..gpusim.spec import extract_timing_spec
 from ..interp import run_kernel
 from ..ir.stmt import Kernel
+from ..perfmodel.static_spec import timing_spec_from_config
 from ..schedule.auto import auto_schedule
 from ..schedule.config import TileConfig
-from ..tensor.operation import GemmSpec, Tensor, contraction, placeholder
+from ..tensor.operation import GemmSpec, contraction, placeholder
 from ..transform import apply_pipelining
 from ..tuning.measure import Measurer
 from ..tuning.space import SpaceOptions, enumerate_space, restrict_space
@@ -101,7 +104,7 @@ class AlcopCompiler:
         self.n_trials = n_trials
         self.seed = seed
         self.space_options = space_options
-        self.measurer = measurer or Measurer(gpu, via_ir=False)
+        self.measurer = measurer or Measurer(gpu)
         #: run the static synchronization race checker on every built kernel
         #: (repro.ir.syncheck); a mis-transformed pipeline fails the build.
         self.verify_sync = verify_sync
@@ -148,30 +151,46 @@ class AlcopCompiler:
         return cfg
 
     # ------------------------------------------------------------------ build
-    def build(
-        self, spec: GemmSpec, config: TileConfig, graph_output: Optional[Tensor] = None
-    ) -> Kernel:
-        """Schedule, lower and pipeline one problem at a fixed config."""
-        if graph_output is None:
-            a_shape = (spec.batch, spec.m, spec.k) if spec.batch > 1 else (spec.m, spec.k)
-            b_shape = (spec.batch, spec.n, spec.k) if spec.batch > 1 else (spec.n, spec.k)
-            a = placeholder("A", a_shape, dtype=spec.dtype)
-            b = placeholder("B", b_shape, dtype=spec.dtype)
-            graph_output = contraction(a, b, spec)
+    def build(self, spec: GemmSpec, config: TileConfig) -> Kernel:
+        """Schedule, lower and pipeline one problem at a fixed config, then
+        check the built IR against the static timing spec the search
+        measured.
+
+        Raises :class:`CompileError` naming every timing-spec field (the
+        kernel ``name`` aside) on which the spec extracted from the IR
+        differs from :func:`timing_spec_from_config`: a kernel that would
+        not run as it was measured is never returned.
+        """
+        a_shape = (spec.batch, spec.m, spec.k) if spec.batch > 1 else (spec.m, spec.k)
+        b_shape = (spec.batch, spec.n, spec.k) if spec.batch > 1 else (spec.n, spec.k)
+        a = placeholder("A", a_shape, dtype=spec.dtype)
+        b = placeholder("B", b_shape, dtype=spec.dtype)
         with profiling.stage("schedule"):
-            sch = auto_schedule(graph_output, config)
+            sch = auto_schedule(contraction(a, b, spec), config)
         with profiling.stage("lower"):
             kernel = lower(sch)
         with profiling.stage("transform"):
-            return apply_pipelining(kernel, verify_sync=self.verify_sync)
+            kernel = apply_pipelining(kernel, verify_sync=self.verify_sync)
+        with profiling.stage("spec-extract"):
+            built = extract_timing_spec(kernel)
+            measured = timing_spec_from_config(spec, config)
+        differ = [
+            f.name for f in dataclasses.fields(built)
+            if f.name != "name" and getattr(built, f.name) != getattr(measured, f.name)
+        ]
+        if differ:
+            raise CompileError(
+                f"IR of {spec.name} at {config} does not match its static timing "
+                f"spec on field(s) {', '.join(differ)}",
+                diagnostic={f: (getattr(built, f), getattr(measured, f)) for f in differ},
+            )
+        return kernel
 
-    def compile(self, spec: GemmSpec, graph_output: Optional[Tensor] = None) -> CompiledKernel:
+    def compile(self, spec: GemmSpec) -> CompiledKernel:
         """Search, build and time a kernel for ``spec`` (cached)."""
-        return self._compile_as(spec, self.variant, graph_output)
+        return self._compile_as(spec, self.variant)
 
-    def _compile_as(
-        self, spec: GemmSpec, variant: str, graph_output: Optional[Tensor] = None
-    ) -> CompiledKernel:
+    def _compile_as(self, spec: GemmSpec, variant: str) -> CompiledKernel:
         """One rung of the ladder: compile ``spec`` under ``variant``'s
         search-space restriction (cached per variant)."""
         key = (variant, spec.name, spec.batch, spec.m, spec.n, spec.k, spec.dtype)
@@ -180,15 +199,13 @@ class AlcopCompiler:
             return hit
         faults.inject("build", token=f"variant={variant};op={spec.name}")
         config = self._search_config(spec, variant)
-        kernel = self.build(spec, config, graph_output)
+        kernel = self.build(spec, config)
         sim = simulate_kernel(extract_timing_spec(kernel), self.gpu)
         out = CompiledKernel(spec=spec, config=config, kernel=kernel, sim=sim)
         self._cache[key] = out
         return out
 
-    def compile_with_fallback(
-        self, spec: GemmSpec, graph_output: Optional[Tensor] = None
-    ) -> CompiledKernel:
+    def compile_with_fallback(self, spec: GemmSpec) -> CompiledKernel:
         """Compile ``spec``, stepping down the variant ladder on failure.
 
         A transform rejection, sync-verification race, launch failure or
@@ -207,7 +224,7 @@ class AlcopCompiler:
         last_error: Optional[Exception] = None
         for i, variant in enumerate(ladder):
             try:
-                out = self._compile_as(spec, variant, graph_output)
+                out = self._compile_as(spec, variant)
                 self._resolved[op_key] = variant
                 return out
             except (ReproError, ValueError) as e:

@@ -139,7 +139,7 @@ class SplitKCompiler:
         min_k_per_split: int = 64,
     ) -> None:
         self.gpu = gpu
-        self.measurer = measurer or Measurer(gpu, via_ir=False)
+        self.measurer = measurer or Measurer(gpu)
         self.space_options = space_options
         self.split_candidates = tuple(split_candidates)
         self.min_k_per_split = min_k_per_split

@@ -167,24 +167,6 @@ class BufferRegion:
         self.offsets: Tuple[Expr, ...] = tuple(offsets)
         self.extents: Tuple[int, ...] = tuple(extents)
 
-    @classmethod
-    def _trusted(
-        cls,
-        buffer: Buffer,
-        offsets: Tuple[Expr, ...],
-        extents: Tuple[int, ...],
-    ) -> "BufferRegion":
-        """Construct without coercion or validation — for internal callers
-        (region substitution, the pipelining rewrite) that derive the
-        arguments from an already-validated region and pass proper tuples.
-        The measurement sweep builds millions of regions; the public
-        constructor's checks are pure overhead there."""
-        self = object.__new__(cls)
-        self.buffer = buffer
-        self.offsets = offsets
-        self.extents = extents
-        return self
-
     @property
     def size_elems(self) -> int:
         n = 1
@@ -204,9 +186,9 @@ class BufferRegion:
 
     def substitute(self, mapping) -> "BufferRegion":
         """Region with variables substituted in its offsets."""
-        return BufferRegion._trusted(
+        return BufferRegion(
             self.buffer,
-            tuple(substitute(o, mapping) for o in self.offsets),
+            [substitute(o, mapping) for o in self.offsets],
             self.extents,
         )
 

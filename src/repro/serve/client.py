@@ -236,8 +236,8 @@ class ServeClient:
         config of ``configs`` (TileConfigs or field dicts) for ``spec`` (a
         GemmSpec or problem-field dict) on the daemon. The result carries
         ``latencies`` (request order; ``inf`` decoded from the wire form),
-        ``persist`` flags, and the daemon's ``via_ir``/``gpu`` identity so
-        the coordinator can refuse a mismatched worker."""
+        ``persist`` flags, and the daemon's ``gpu`` and ``session``
+        identity."""
         from .protocol import decode_latency
 
         if hasattr(spec, "m"):  # a GemmSpec-like object

@@ -74,15 +74,13 @@ def artifact_key(
     gpu: GpuSpec,
     spec: GemmSpec,
     variant: str,
-    via_ir: bool,
     space_max: Optional[int],
     version: Optional[str] = None,
 ) -> str:
     """Content address of one solved problem.
 
     Same anatomy as :func:`repro.tuning.cache.measurement_key` — GPU
-    fingerprint, problem identity, measurement mode, compiler-version
-    hash — plus the search inputs that determine *which* config wins
+    fingerprint, problem identity, compiler-version hash — plus the search inputs that determine *which* config wins
     (variant restriction and the design-space cap). Identical inputs on an
     identical compiler always map to the same artifact; any drift in
     either orphans the entry.
@@ -91,7 +89,6 @@ def artifact_key(
         "gpu": gpu_fingerprint(gpu),
         "spec": dataclasses.asdict(spec),
         "variant": variant,
-        "via_ir": bool(via_ir),
         "space": space_max,
         "version": version if version is not None else compiler_version_hash(),
     }
@@ -110,7 +107,7 @@ class KernelArtifact:
     ir_text: str
     cuda_source: str
     #: gpu name+fingerprint, compiler-version hash, tune session id,
-    #: created-at unix seconds, search inputs (variant, space cap, via_ir).
+    #: created-at unix seconds, search inputs (variant, space cap).
     provenance: Dict[str, object]
 
     def tile_config(self) -> TileConfig:

@@ -1,8 +1,8 @@
 """The ``repro serve`` daemon: compile-as-a-service.
 
 One long-running process pays the expensive state once — the measurer's
-TE-graph cache, the memoized design-space enumeration, the disk
-measurement cache, the artifact registry — and then answers compile/tune
+wave memo and worker pool, the memoized design-space enumeration, the
+disk measurement cache, the artifact registry — and then answers compile/tune
 requests for the cost of a registry lookup. The serving loop is:
 
 1. **accept**: listener threads (Unix socket speaking newline-JSON, TCP
@@ -38,8 +38,9 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Dict, List, Optional, Tuple
 
-from ..codegen import emit_cuda, lower
+from ..codegen import emit_cuda
 from ..core import profiling
+from ..core.compiler import AlcopCompiler
 from ..core.errors import (
     CompileError,
     DeadlineExceededError,
@@ -50,10 +51,7 @@ from ..gpusim.config import A100, GpuSpec
 from ..ir.printer import format_kernel
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..schedule.auto import auto_schedule
-from ..schedule.config import TileConfig
-from ..tensor.operation import GemmSpec, contraction, placeholder
-from ..transform import apply_pipelining
+from ..tensor.operation import GemmSpec
 from ..tuning.cache import MeasurementCache, compiler_version_hash, gpu_fingerprint
 from ..tuning.measure import Measurer
 from ..tuning.space import SpaceOptions, enumerate_space, restrict_space
@@ -196,8 +194,6 @@ class ReproServer:
         Measurement pool width used by sweeps the daemon runs.
     workers:
         Request-handling threads draining the connection queue.
-    via_ir:
-        Measurement mode of the shared measurer (see ``Measurer``).
     idle_timeout:
         Seconds a keep-alive connection may sit idle between requests
         before the daemon closes it and returns its worker to the pool
@@ -225,7 +221,6 @@ class ReproServer:
         cache_dir: Optional[str] = None,
         jobs: int = 1,
         workers: int = DEFAULT_WORKERS,
-        via_ir: bool = False,
         default_space: int = DEFAULT_SPACE,
         idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
         max_queue: int = DEFAULT_MAX_QUEUE,
@@ -240,7 +235,9 @@ class ReproServer:
         self.host = host
         self.registry = registry if registry is not None else ArtifactRegistry()
         cache = MeasurementCache(cache_dir) if cache_dir else None
-        self.measurer = Measurer(gpu, via_ir=via_ir, cache=cache, jobs=jobs)
+        self.measurer = Measurer(gpu, cache=cache, jobs=jobs)
+        #: builds (sync- and spec-verified) every artifact's kernel
+        self.compiler = AlcopCompiler(gpu, measurer=self.measurer)
         self.workers = max(1, int(workers))
         self.default_space = int(default_space)
         #: None (or <= 0) disables the idle bound — tests only; a shared
@@ -772,7 +769,6 @@ class ReproServer:
         return {
             "latencies": [encode_latency(x) for x in latencies],
             "persist": persist,
-            "via_ir": self.measurer.via_ir,
             "gpu": self.gpu.name,
             "session": self.session_id,
         }
@@ -785,7 +781,7 @@ class ReproServer:
             p["name"], batch=p["batch"], m=p["m"], n=p["n"], k=p["k"], dtype=p["dtype"]
         )
         space_cap = p["space"] if p["space"] is not None else self.default_space
-        key = artifact_key(self.gpu, spec, p["variant"], self.measurer.via_ir, space_cap)
+        key = artifact_key(self.gpu, spec, p["variant"], space_cap)
         artifact = self.registry.get(key)
         if artifact is not None:
             return artifact, "registry"
@@ -849,7 +845,7 @@ class ReproServer:
             cfg, latency = self.measurer.best(spec, space, deadline=deadline)
         self._count("sweeps_run")
         with obs_trace.span("build-kernel"):
-            kernel = self._build_kernel(spec, cfg)
+            kernel = self.compiler.build(spec, cfg)
         artifact = KernelArtifact(
             key=key,
             spec=dataclasses.asdict(spec),
@@ -865,30 +861,12 @@ class ReproServer:
                 "created_s": time.time(),
                 "variant": variant,
                 "space": space_cap,
-                "via_ir": self.measurer.via_ir,
                 "space_size": len(space),
             },
         )
         stored = self.registry.put(artifact)
         self._count("artifacts_built")
         return stored
-
-    def _build_kernel(self, spec: GemmSpec, cfg: TileConfig):
-        """Schedule/lower/pipeline the winning config (sync-verified), with
-        the same stage annotations as the measurement path so per-request
-        profiles account for it."""
-        a_shape = (spec.batch, spec.m, spec.k) if spec.batch > 1 else (spec.m, spec.k)
-        b_shape = (spec.batch, spec.n, spec.k) if spec.batch > 1 else (spec.n, spec.k)
-        a = placeholder("A", a_shape, dtype=spec.dtype)
-        b = placeholder("B", b_shape, dtype=spec.dtype)
-        c = contraction(a, b, spec)
-        with profiling.stage("schedule"):
-            sched = auto_schedule(c, cfg)
-        with profiling.stage("lower"):
-            kernel = lower(sched)
-        with profiling.stage("transform"):
-            kernel = apply_pipelining(kernel, verify_sync=True)
-        return kernel
 
     # ------------------------------------------------------------------ status
     def _op_status(self) -> Dict:
@@ -906,7 +884,6 @@ class ReproServer:
             "session": self.session_id,
             "uptime_s": round(time.time() - self.started_at, 3),
             "gpu": self.gpu.name,
-            "via_ir": self.measurer.via_ir,
             "workers": self.workers,
             "queue_depth": self._conn_queue.qsize(),
             "max_queue": self.max_queue,
@@ -922,9 +899,5 @@ class ReproServer:
                 "n_timeouts": telemetry.n_timeouts,
                 "disk_errors": telemetry.disk_errors,
             },
-            "incremental": (
-                self.measurer.engine.stats()
-                if self.measurer.engine is not None else None
-            ),
             "endpoints": {op: s.snapshot() for op, s in self._stats.items()},
         }

@@ -7,13 +7,11 @@ from .analysis import (
     PipelinePlan,
     TransformError,
     analyze,
-    instantiate_plan,
 )
 from .bounds import BoundsError, Interval, interval_of, verify_in_bounds
 from .cleanup import simplify_pass, unroll_pass
 from .pipeline_pass import (
     PipelineGroupInfo,
-    RewriteCaches,
     apply_pipelining,
     transform_with_plan,
 )
@@ -24,7 +22,6 @@ __all__ = [
     "PipelinePlan",
     "TransformError",
     "analyze",
-    "instantiate_plan",
     "BoundsError",
     "Interval",
     "interval_of",
@@ -32,7 +29,6 @@ __all__ = [
     "simplify_pass",
     "unroll_pass",
     "PipelineGroupInfo",
-    "RewriteCaches",
     "apply_pipelining",
     "transform_with_plan",
 ]

@@ -1,8 +1,8 @@
 """Content-addressed, disk-persistent measurement cache.
 
 Every measurement the harness produces is a pure function of its full
-identity: the GPU model, the GEMM problem, the schedule configuration, the
-measurement mode (``via_ir``) and the compiler itself. This module hashes
+identity: the GPU model, the GEMM problem, the schedule configuration and
+the compiler itself. This module hashes
 that identity into a content address and persists ``address -> latency``
 as an append-only JSON-lines file, so sweeps, tuner comparisons and repeat
 benchmark runs never redo a compile the repo has already paid for.
@@ -85,7 +85,6 @@ def measurement_key(
     gpu: GpuSpec,
     spec: GemmSpec,
     cfg: TileConfig,
-    via_ir: bool,
     version: Optional[str] = None,
 ) -> str:
     """Content address of one measurement: the full identity, hashed."""
@@ -93,7 +92,6 @@ def measurement_key(
         "gpu": gpu_fingerprint(gpu),
         "spec": dataclasses.asdict(spec),
         "config": cfg.as_dict(),
-        "via_ir": bool(via_ir),
         "version": version if version is not None else compiler_version_hash(),
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()

@@ -108,7 +108,7 @@ def _worker_token(spec: GemmSpec, cfg: TileConfig, sid: int, attempt: int) -> st
 
 
 # --------------------------------------------------------------------- workers
-def _fleet_worker_main(conn, gpu: GpuSpec, via_ir: bool, retries: int) -> None:
+def _fleet_worker_main(conn, gpu: GpuSpec, retries: int) -> None:
     """Fleet worker process: a long-lived loop answering shard requests.
 
     Each trial goes through the serial ``Measurer`` recovery path (retry
@@ -130,7 +130,7 @@ def _fleet_worker_main(conn, gpu: GpuSpec, via_ir: bool, retries: int) -> None:
     """
     try:
         faults.ensure_env_plan()
-        measurer = Measurer(gpu, via_ir=via_ir, retries=retries, backoff_s=0.01)
+        measurer = Measurer(gpu, retries=retries, backoff_s=0.01)
         while True:
             msg = conn.recv()
             if msg[0] == "stop":
@@ -172,9 +172,8 @@ class LocalProcessWorker:
 
     kind = "process"
 
-    def __init__(self, gpu: GpuSpec, via_ir: bool, retries: int = 2) -> None:
+    def __init__(self, gpu: GpuSpec, retries: int = 2) -> None:
         self.gpu = gpu
-        self.via_ir = via_ir
         self.retries = retries
         self._proc = None
         self._conn = None
@@ -186,7 +185,7 @@ class LocalProcessWorker:
         self._conn, child = ctx.Pipe(duplex=True)
         self._proc = ctx.Process(
             target=_fleet_worker_main,
-            args=(child, self.gpu, self.via_ir, self.retries),
+            args=(child, self.gpu, self.retries),
             daemon=True,
         )
         self._proc.start()
@@ -261,11 +260,10 @@ class RemoteServeWorker:
 
     kind = "remote"
 
-    def __init__(self, endpoint: str, via_ir: bool, timeout: float = 600.0) -> None:
+    def __init__(self, endpoint: str, timeout: float = 600.0) -> None:
         from ..serve.client import ServeClient
 
         self.endpoint = endpoint
-        self.via_ir = via_ir
         kwargs = parse_endpoint(endpoint)
         self._client = ServeClient(timeout=timeout, **kwargs)
 
@@ -277,13 +275,6 @@ class RemoteServeWorker:
         on_result: ResultSink, should_abort: Optional[Callable[[], bool]] = None,
     ) -> None:
         result = self._client.measure(spec, [cfg for _, cfg in items])
-        if bool(result.get("via_ir")) != bool(self.via_ir):
-            raise ServeError(
-                f"fleet worker {self.endpoint} measures via_ir="
-                f"{result.get('via_ir')} but this sweep needs via_ir="
-                f"{self.via_ir}; its latencies would not be bitwise-"
-                "comparable to the serial sweep"
-            )
         latencies = result.get("latencies", [])
         persist = result.get("persist", [True] * len(latencies))
         if len(latencies) != len(items):
@@ -486,7 +477,7 @@ class FleetCoordinator:
     ----------
     spec / configs:
         The problem and the (deduplicated) configs to measure.
-    gpu / via_ir:
+    gpu:
         Measurement identity — must match the serial measurer's for the
         bitwise-identity guarantee to be meaningful.
     workers:
@@ -517,7 +508,6 @@ class FleetCoordinator:
         configs: Sequence[TileConfig],
         *,
         gpu: GpuSpec = A100,
-        via_ir: bool = False,
         workers: int = 2,
         endpoints: Sequence[str] = (),
         shard_size: Optional[int] = None,
@@ -532,7 +522,6 @@ class FleetCoordinator:
         self.spec = spec
         self.configs = list(configs)
         self.gpu = gpu
-        self.via_ir = via_ir
         self.endpoints = list(endpoints)
         self.max_shard_retries = max(0, int(max_shard_retries))
         self.steal = steal
@@ -647,10 +636,10 @@ class FleetCoordinator:
 
     # ---------------------------------------------------------------- slots
     def _local_factory(self) -> Callable[[], object]:
-        return lambda: LocalProcessWorker(self.gpu, self.via_ir, self.trial_retries)
+        return lambda: LocalProcessWorker(self.gpu, self.trial_retries)
 
     def _remote_factory(self, endpoint: str) -> Callable[[], object]:
-        return lambda: RemoteServeWorker(endpoint, self.via_ir, self.remote_timeout)
+        return lambda: RemoteServeWorker(endpoint, self.remote_timeout)
 
     def _add_slot_locked(self, factory: Callable[[], object],
                          remote: bool = False) -> None:
@@ -948,7 +937,6 @@ def fleet_sweep(
             spec,
             [cfg for _, cfg in order],
             gpu=measurer.gpu,
-            via_ir=measurer.via_ir,
             workers=workers,
             endpoints=endpoints,
             shard_size=shard_size,

@@ -1,17 +1,20 @@
-"""The measurement harness: compile a schedule and time it on the simulator.
+"""The measurement harness: time a schedule on the simulator.
 
-This plays the role of AutoTVM's builder+runner: each measurement runs the
-full compiler path — automatic schedule, lowering, pipelining program
-transformation, timing-spec extraction from the produced IR — and then the
-discrete-event simulator (the reproduction's "hardware"). Results are
-cached by their full identity (GPU, problem, config, measurement mode) in
-memory, optionally persisted to disk (:class:`~repro.tuning.cache.
-MeasurementCache`), and batch measurements fan out over persistent worker
-processes (``jobs > 1``) while returning bitwise-identical latencies to the
-serial path. Each measurer owns its workers: they start at the first
-pooled batch, keep their own warm measurer (wave memo, TE cache) across
-batches, and receive contiguous chunks of each batch, streaming one result
-per trial back to the parent, which alone commits results and telemetry.
+This plays the role of AutoTVM's builder+runner. Each trial derives the
+kernel's timing spec statically from the schedule config
+(:func:`~repro.perfmodel.static_spec.timing_spec_from_config`) and runs
+the discrete-event simulator (the reproduction's "hardware") on it. The IR
+is not built per trial: the compiler builds it once for every kernel it
+returns, and :meth:`repro.core.compiler.AlcopCompiler.build` checks that
+the spec extracted from that IR equals the static one. Results are cached
+by their full identity (GPU, problem, config) in memory, optionally
+persisted to disk (:class:`~repro.tuning.cache.MeasurementCache`), and
+batch measurements fan out over persistent worker processes (``jobs >
+1``) while returning bitwise-identical latencies to the serial path. Each
+measurer owns its workers: they start at the first pooled batch, keep
+their own warm measurer (wave memo) across batches, and receive
+contiguous chunks of each batch, streaming one result per trial back to
+the parent, which alone commits results and telemetry.
 
 Fault tolerance (docs/robustness.md): per-trial crashes, hangs and worker
 deaths are ordinary measurement outcomes, never sweep aborts. A dying
@@ -35,11 +38,9 @@ import os
 import threading
 import time
 import weakref
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import faults
-from ..codegen import lower
 from ..core import profiling
 from ..core.errors import (
     CompileError,
@@ -48,16 +49,11 @@ from ..core.errors import (
     ReproError,
     WorkerCrash,
 )
-from ..core.incremental import IncrementalEngine
-from ..core.incremental import sort_key as _incremental_sort_key
-from ..obs import metrics as _metrics
 from ..gpusim.config import A100, GpuSpec
 from ..gpusim.engine import WaveMemo, simulate_kernel
-from ..gpusim.spec import extract_timing_spec
 from ..perfmodel.static_spec import timing_spec_from_config
-from ..schedule.auto import auto_schedule
 from ..schedule.config import TileConfig
-from ..tensor.operation import GemmSpec, Tensor, contraction, placeholder
+from ..tensor.operation import GemmSpec
 from .cache import MeasurementCache, measurement_key
 from .prune import prune_space
 
@@ -65,21 +61,6 @@ __all__ = ["Measurer", "MeasureTelemetry", "MeasureFailure", "FAILED"]
 
 #: Latency recorded for configurations that fail to compile/launch.
 FAILED = math.inf
-
-#: LRU bound on the per-spec tensor-expression graph cache: one entry per
-#: distinct problem shape, so a long-lived serve daemon cycling many shapes
-#: holds at most this many graphs.
-TE_CACHE_MAX = 64
-
-_TE_EVICTIONS = _metrics.counter(
-    "repro_te_cache_evictions_total",
-    "Tensor-expression graphs evicted from a measurer's per-spec LRU",
-)
-_TE_SIZE_GAUGE = _metrics.gauge(
-    "repro_te_cache_entries",
-    "Tensor-expression graphs currently held by the newest measurer",
-)
-
 
 @dataclasses.dataclass(frozen=True)
 class MeasureTelemetry:
@@ -103,16 +84,6 @@ class MeasureTelemetry:
     stage_time_s: Tuple[Tuple[str, float], ...] = ()
     #: disk-cache write failures absorbed by degrading to memory-only
     disk_errors: int = 0
-    #: trials that reused a memoized schedule+lower base kernel
-    lower_cache_hits: int = 0
-    #: trials that built (and memoized) a new base kernel
-    lower_cache_misses: int = 0
-    #: pipelining transforms run by the incremental engine
-    transform_runs: int = 0
-    #: trials the engine handed back to the fresh path (no reuse evidence)
-    lower_cache_bypasses: int = 0
-    #: whether an incremental engine was attached at all
-    incremental: bool = False
     #: untraced wave simulations answered by the measurer's wave memo
     wave_memo_hits: int = 0
     #: wave simulations the memo had to run
@@ -145,27 +116,14 @@ class MeasureTelemetry:
 
     def profile_summary(self) -> str:
         """Per-stage wall-clock breakdown of the compile+simulate path,
-        with the incremental engine's stage-cache reuse and the wave
-        memo's hit ratio next to it."""
+        with the wave memo's hit ratio next to it."""
         times = profiling.StageTimes()
         times.merge(dict(self.stage_time_s))
-        out = times.summary()
-        out += (
+        return times.summary() + (
             f"\n  wave memo        {self.wave_memo_hits} hits / "
             f"{self.wave_memo_misses} misses "
             f"({100.0 * self.wave_memo_hit_ratio:.0f}% hit)"
         )
-        if self.incremental:
-            served = self.lower_cache_hits + self.lower_cache_misses
-            reuse = 100.0 * self.lower_cache_hits / served if served else 0.0
-            out += (
-                f"\n  stage cache      {self.lower_cache_hits} hits / "
-                f"{self.lower_cache_misses} misses ({reuse:.0f}% reuse), "
-                f"{self.transform_runs} incremental transform(s)"
-            )
-            if self.lower_cache_bypasses:
-                out += f", {self.lower_cache_bypasses} bypassed"
-        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,8 +161,8 @@ def _cfg_token(spec: GemmSpec, cfg: TileConfig) -> str:
 
 #: Contiguous chunks each worker receives per pooled batch (about
 #: ``len(order) / (CHUNKS_PER_WORKER * width)`` trials per chunk): enough
-#: chunks to balance the load, few enough that the incremental engine's
-#: schedule-key reuse windows stay together (docs/performance.md).
+#: chunks to balance the load, few enough that each message carries many
+#: trials (docs/performance.md).
 CHUNKS_PER_WORKER = 8
 #: Pause of the dispatch loop while every busy worker still has over two
 #: trials queued. Results then arrive in bursts rather than one wake-up
@@ -215,12 +173,12 @@ NAP_S = 0.001
 def _worker_main(conn) -> None:
     """Persistent measurement worker: one private Measurer serving chunks.
 
-    Each message is ``(gpu, via_ir, plan, spec, items)`` with ``items`` a
-    list of ``(cfg, attempt)``; a closed pipe ends the loop. The worker's
-    measurer (and so its wave memo and TE cache) lives across chunks, and
-    is rebuilt only when the parent was retargeted. Every trial runs
-    exactly the serial code path, so a pooled sweep returns the same bits
-    as a serial one, and streams back ``("ok", latency, compile_s,
+    Each message is ``(gpu, plan, spec, items)`` with ``items`` a list of
+    ``(cfg, attempt)``; a closed pipe ends the loop. The worker's measurer
+    (and so its wave memo) lives across chunks, and is rebuilt only when
+    the parent was retargeted. Every trial runs exactly the serial code
+    path, so a pooled sweep returns the same bits as a serial one, and
+    streams back ``("ok", latency, compile_s,
     stage_times)`` (``inf`` for genuine compile failures) or ``("crash",
     detail)`` when the trial raised. A killed worker sends nothing for its
     in-flight trial; the parent treats the silence as a crash.
@@ -237,11 +195,9 @@ def _worker_main(conn) -> None:
             msg = conn.recv()
         except (EOFError, OSError):
             return
-        gpu, via_ir, plan, spec, items = msg
-        if m is None or m.gpu != gpu or m.via_ir != via_ir:
-            m = Measurer(gpu, via_ir=via_ir)
-        if m.engine is not None and len(items) > 1:
-            m.engine.note_batch(spec, [cfg for cfg, _ in items])
+        gpu, plan, spec, items = msg
+        if m is None or m.gpu != gpu:
+            m = Measurer(gpu)
         if plan is None:
             faults.deactivate()
         for cfg, attempt in items:
@@ -364,10 +320,10 @@ class Measurer:
     gpu:
         Target hardware model.
     via_ir:
-        When True (default) the timing spec is extracted from the fully
-        compiled IR — the honest path that measures the compiler's actual
-        output. When False, the statically derived spec is used (proven
-        equal in tests, ~3x faster for huge sweeps).
+        Accepted for backward compatibility and must be False: every trial
+        measures the static timing spec, and the IR check runs on the
+        kernels the compiler returns (:meth:`AlcopCompiler.build
+        <repro.core.compiler.AlcopCompiler.build>`).
     cache:
         Optional disk-persistent :class:`MeasurementCache`; misses are
         compiled and written back, so later runs (or other measurers
@@ -389,28 +345,25 @@ class Measurer:
         quarantined.
     backoff_s:
         Base of the exponential retry backoff (``backoff_s * 2**attempt``).
-    incremental:
-        Enable the incremental compile engine
-        (:class:`~repro.core.incremental.IncrementalEngine`): configs
-        sharing tile knobs reuse one memoized schedule+lower base kernel
-        and only re-run the pipelining transform. Outputs are
-        bitwise-identical to fresh builds. Defaults to ``via_ir`` (the
-        static-spec path has no IR stages to share).
     """
 
     def __init__(
         self,
         gpu: GpuSpec = A100,
-        via_ir: bool = True,
+        via_ir: bool = False,
         cache: Optional[MeasurementCache] = None,
         jobs: int = 1,
         trial_timeout_s: Optional[float] = None,
         retries: int = 2,
         backoff_s: float = 0.05,
-        incremental: Optional[bool] = None,
     ) -> None:
+        if via_ir:
+            raise ValueError(
+                "Measurer(via_ir=True) is gone: trials always measure the static "
+                "timing spec, and AlcopCompiler.build checks the IR spec of "
+                "every kernel it returns"
+            )
         self.gpu = gpu
-        self.via_ir = via_ir
         self.cache = cache
         self.jobs = max(1, int(jobs))
         self.trial_timeout_s = trial_timeout_s
@@ -421,28 +374,9 @@ class Measurer:
         #: records its result in one critical section.
         self._lock = threading.RLock()
         self._cache: Dict[Tuple, float] = {}
-        #: canonical tensor-expression graph per problem: building the
-        #: placeholders + contraction is config-independent, so one graph
-        #: serves every trial of a spec (auto_schedule never mutates it —
-        #: cache_read materializes new tensors). Bounded LRU
-        #: (:data:`TE_CACHE_MAX`) so a daemon cycling many shapes cannot
-        #: grow it without limit; evictions are counted.
-        self._te_cache: "OrderedDict[GemmSpec, Tensor]" = OrderedDict()
-        self.te_cache_evictions = 0
-        #: incremental compile engine (None = always compile fresh)
-        self.engine: Optional[IncrementalEngine] = (
-            IncrementalEngine()
-            if (via_ir if incremental is None else bool(incremental)) and via_ir
-            else None
-        )
         #: untraced wave results of this measurer's simulations (bounded
         #: LRU); per-measurer, so a fresh measurer always starts cold.
         self.wave_memo = WaveMemo()
-        # Newest measurer wins the process-wide size gauge (matching the
-        # engine's own gauge convention). The gauge holds the cache, not
-        # the measurer, so a dropped measurer is still collected.
-        te_cache = self._te_cache
-        _TE_SIZE_GAUGE.set_function(lambda: len(te_cache))
         self.n_compiled = 0
         self.n_memory_hits = 0
         self.n_disk_hits = 0
@@ -454,8 +388,9 @@ class Measurer:
         self.n_pruned = 0
         #: newest :class:`~repro.tuning.prune.PruneStats` from a pruned sweep
         self.last_prune_stats = None
-        #: accumulated per-stage compile-path wall clock (schedule / lower /
-        #: transform / spec-extract / simulate), including pooled workers.
+        #: accumulated per-stage wall clock (spec-extract / simulate),
+        #: including pooled workers; ``repro tune`` adds the stages of its
+        #: verification build of the best config.
         self.stage_times = profiling.StageTimes()
         #: in-memory keys of configs that exhausted retries by killing
         #: workers; they are never resubmitted by this measurer.
@@ -486,64 +421,23 @@ class Measurer:
             n_pruned=self.n_pruned,
             stage_time_s=tuple(self.stage_times.ordered()),
             disk_errors=self.cache.disk_errors if self.cache is not None else 0,
-            lower_cache_hits=self.engine.hits if self.engine is not None else 0,
-            lower_cache_misses=self.engine.misses if self.engine is not None else 0,
-            transform_runs=self.engine.transform_runs if self.engine is not None else 0,
-            lower_cache_bypasses=self.engine.bypasses if self.engine is not None else 0,
-            incremental=self.engine is not None,
             wave_memo_hits=self.wave_memo.hits,
             wave_memo_misses=self.wave_memo.misses,
         )
 
     def _key(self, spec: GemmSpec, cfg: TileConfig) -> Tuple:
-        """Full in-memory identity. The GPU spec and the ``via_ir`` mode are
-        part of it: a measurer retargeted across GPU generations (the
-        ``bench_ablation_gpu_generations`` pattern) or flipped between
-        measurement modes must never serve stale latencies."""
-        return (self.gpu, self.via_ir, spec, cfg.key())
+        """Full in-memory identity. The GPU spec is part of it: a measurer
+        retargeted across GPU generations (the
+        ``bench_ablation_gpu_generations`` pattern) must never serve stale
+        latencies."""
+        return (self.gpu, spec, cfg.key())
 
-    def _te_graph(self, spec: GemmSpec) -> Tensor:
-        """The canonical (placeholder + contraction) graph for ``spec``,
-        built once per LRU residency and reused by every trial."""
-        with self._lock:
-            c = self._te_cache.get(spec)
-            if c is not None:
-                self._te_cache.move_to_end(spec)
-                return c
-        a_shape = (spec.batch, spec.m, spec.k) if spec.batch > 1 else (spec.m, spec.k)
-        b_shape = (spec.batch, spec.n, spec.k) if spec.batch > 1 else (spec.n, spec.k)
-        a = placeholder("A", a_shape, dtype=spec.dtype)
-        b = placeholder("B", b_shape, dtype=spec.dtype)
-        c = contraction(a, b, spec)
-        with self._lock:
-            self._te_cache[spec] = c
-            self._te_cache.move_to_end(spec)
-            while len(self._te_cache) > TE_CACHE_MAX:
-                self._te_cache.popitem(last=False)
-                self.te_cache_evictions += 1
-                _TE_EVICTIONS.inc()
-        return c
-
-    def _build_timing_spec(self, spec: GemmSpec, cfg: TileConfig):
-        if not self.via_ir:
-            with profiling.stage("spec-extract"):
-                return timing_spec_from_config(spec, cfg)
-        from ..transform import apply_pipelining
-
-        c = self._te_graph(spec)
-        if self.engine is not None:
-            ts = self.engine.timing_spec(c, spec, cfg)
-            if ts is not None:
-                return ts
-            # engine declined (no reuse evidence for this tile key): fresh
-        with profiling.stage("schedule"):
-            sched = auto_schedule(c, cfg)
-        with profiling.stage("lower"):
-            kernel = lower(sched)
-        with profiling.stage("transform"):
-            kernel = apply_pipelining(kernel)
+    def _timed_spec(self, spec: GemmSpec, cfg: TileConfig) -> float:
+        """One trial's latency: the static timing spec, simulated."""
         with profiling.stage("spec-extract"):
-            return extract_timing_spec(kernel)
+            ts = timing_spec_from_config(spec, cfg)
+        with profiling.stage("simulate"):
+            return simulate_kernel(ts, self.gpu, _memo=self.wave_memo).latency_us
 
     def _compile_and_time(self, spec: GemmSpec, cfg: TileConfig, token: str = "") -> float:
         """One compile+simulate. Genuine compile/launch rejections return
@@ -556,22 +450,14 @@ class Measurer:
             if faults.active_plan() is None:
                 with profiling.collect(self.stage_times):
                     try:
-                        ts = self._build_timing_spec(spec, cfg)
-                        with profiling.stage("simulate"):
-                            latency = simulate_kernel(
-                                ts, self.gpu, _memo=self.wave_memo
-                            ).latency_us
+                        latency = self._timed_spec(spec, cfg)
                     except (CompileError, ValueError):
                         latency = FAILED
             else:
                 with faults.push_token(token), profiling.collect(self.stage_times):
                     faults.inject("compile")
                     try:
-                        ts = self._build_timing_spec(spec, cfg)
-                        with profiling.stage("simulate"):
-                            latency = simulate_kernel(
-                                ts, self.gpu, _memo=self.wave_memo
-                            ).latency_us
+                        latency = self._timed_spec(spec, cfg)
                     except (CompileError, ValueError):
                         latency = FAILED
         except BaseException:
@@ -595,14 +481,13 @@ class Measurer:
             self._cache[key] = latency
         if self.cache is not None and persist:
             self.cache.put(
-                measurement_key(self.gpu, spec, cfg, self.via_ir, version=self.cache.version),
+                measurement_key(self.gpu, spec, cfg, version=self.cache.version),
                 latency,
                 meta={
                     "gpu": self.gpu.name,
                     "spec": spec.name,
                     "dims": [spec.batch, spec.m, spec.n, spec.k],
                     "config": list(cfg.key()),
-                    "via_ir": self.via_ir,
                 },
             )
 
@@ -615,7 +500,7 @@ class Measurer:
                 return hit
         if self.cache is not None:
             disk = self.cache.get(
-                measurement_key(self.gpu, spec, cfg, self.via_ir, version=self.cache.version)
+                measurement_key(self.gpu, spec, cfg, version=self.cache.version)
             )
             if disk is not None:
                 with self._lock:
@@ -832,7 +717,7 @@ class Measurer:
                         w.since = now
                     w.items = w.items + items
                     try:
-                        w.conn.send((self.gpu, self.via_ir, plan, spec,
+                        w.conn.send((self.gpu, plan, spec,
                                      [(cfg, attempt) for _, cfg, attempt in items]))
                     except (BrokenPipeError, OSError):
                         pass  # died since the liveness check; handled below
@@ -927,15 +812,6 @@ class Measurer:
                 continue
             pending[key] = [i]
             order.append((key, cfg))
-        if self.engine is not None and len(order) > 1:
-            # Group uncached trials by shared schedule-key prefix so one
-            # memoized base kernel's reuse window is contiguous, and tell
-            # the engine which tile keys this batch repeats (so even their
-            # first trial goes through it). Results are merged back by key
-            # into input positions below, so the recorded latencies — and
-            # which configs are measured — are unchanged.
-            order.sort(key=lambda kc: _incremental_sort_key(kc[1]))
-            self.engine.note_batch(spec, [cfg for _, cfg in order])
         if order:
             if width <= 1 and self.trial_timeout_s is None:
                 for done, (key, cfg) in enumerate(order):

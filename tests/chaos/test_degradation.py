@@ -118,7 +118,7 @@ class TestModelRuntime:
 
 class TestDegradedBest:
     def test_clean_space_uses_requested_variant(self):
-        m = Measurer(A100, via_ir=False)
+        m = Measurer(A100)
         space = enumerate_space(SPEC, A100, SpaceOptions(max_size=30))
         cfg, latency, used = degraded_best(m, SPEC, space, variant="alcop")
         assert used == "alcop" and cfg is not None and latency > 0
@@ -126,7 +126,7 @@ class TestDegradedBest:
     def test_faulted_rung_steps_down(self):
         events = []
         plan = faults.FaultPlan([faults.FaultRule("compile", "crash")], seed=1)
-        m = Measurer(A100, via_ir=False, retries=0, backoff_s=0.001)
+        m = Measurer(A100, retries=0, backoff_s=0.001)
         space = enumerate_space(SPEC, A100, SpaceOptions(max_size=10))
         with faults.injected(plan):
             cfg, latency, used = degraded_best(m, SPEC, space, events=events)

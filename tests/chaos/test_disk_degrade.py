@@ -49,8 +49,8 @@ class TestCacheDegrade:
 
     def test_sweep_survives_disk_failure_with_identical_bits(self, tmp_path):
         space = enumerate_space(SPEC, A100, SpaceOptions(max_size=8))
-        clean = Measurer(A100, via_ir=False).sweep(SPEC, space)
-        m = Measurer(A100, via_ir=False, cache=MeasurementCache(tmp_path / "c"))
+        clean = Measurer(A100).sweep(SPEC, space)
+        m = Measurer(A100, cache=MeasurementCache(tmp_path / "c"))
         with faults.injected(disk_plan("cache:")):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)

@@ -41,11 +41,11 @@ def space():
 @pytest.fixture(scope="module")
 def serial(space):
     """The fault-free serial reference every fleet run must reproduce."""
-    return Measurer(A100, via_ir=False).sweep(SPEC, space)
+    return Measurer(A100).sweep(SPEC, space)
 
 
 def run_fleet(space, **kwargs):
-    coord = FleetCoordinator(SPEC, space, gpu=A100, via_ir=False, **kwargs)
+    coord = FleetCoordinator(SPEC, space, gpu=A100, **kwargs)
     return coord.run(), coord
 
 
@@ -181,7 +181,7 @@ class TestElasticity:
         """Growing the fleet after the first results stream in changes
         wall-clock, never bits."""
         coord = FleetCoordinator(
-            SPEC, space, gpu=A100, via_ir=False, workers=1, shard_size=2
+            SPEC, space, gpu=A100, workers=1, shard_size=2
         )
         grown = threading.Event()
 
@@ -198,7 +198,7 @@ class TestElasticity:
 
     def test_scale_down_mid_sweep_identical(self, space, serial):
         coord = FleetCoordinator(
-            SPEC, space, gpu=A100, via_ir=False, workers=3, shard_size=2
+            SPEC, space, gpu=A100, workers=3, shard_size=2
         )
         shrunk = threading.Event()
 
@@ -212,7 +212,7 @@ class TestElasticity:
         assert result.telemetry.resizes == 1
 
     def test_scale_to_current_width_is_a_noop(self, space):
-        coord = FleetCoordinator(SPEC, space, gpu=A100, via_ir=False, workers=2)
+        coord = FleetCoordinator(SPEC, space, gpu=A100, workers=2)
         result = coord.run()
         coord.scale_to(2)
         assert coord.telemetry.resizes == 0
@@ -227,7 +227,7 @@ class TestElasticity:
             seed=5,
         )
         coord = FleetCoordinator(
-            SPEC, space, gpu=A100, via_ir=False, workers=1, shard_size=2
+            SPEC, space, gpu=A100, workers=1, shard_size=2
         )
         resized = threading.Event()
 
@@ -270,7 +270,7 @@ class TestWorkStealing:
 
 class TestFleetSweep:
     def test_fleet_sweep_equals_measurer_sweep(self, space, serial):
-        m = Measurer(A100, via_ir=False)
+        m = Measurer(A100)
         latencies, tel = fleet_sweep(m, SPEC, space, workers=2)
         assert latencies == serial
         assert tel.results_streamed >= len(space)
@@ -281,14 +281,14 @@ class TestFleetSweep:
         assert m.n_compiled == 0  # the fleet compiled, not this process
 
     def test_cache_hits_never_touch_the_fleet(self, space, serial):
-        m = Measurer(A100, via_ir=False)
+        m = Measurer(A100)
         m.sweep(SPEC, space)  # warm every config serially
         latencies, tel = fleet_sweep(m, SPEC, space, workers=2)
         assert latencies == serial
         assert tel.shards_dispatched == 0 and tel.results_streamed == 0
 
     def test_duplicates_within_batch_dispatch_once(self, space, serial):
-        m = Measurer(A100, via_ir=False)
+        m = Measurer(A100)
         doubled = list(space) + list(space)
         latencies, tel = fleet_sweep(m, SPEC, doubled, workers=2)
         assert latencies == serial + serial
@@ -306,14 +306,14 @@ class TestFleetSweep:
                               match=_cfg_token(SPEC, victim))],
             seed=1,
         )
-        m = Measurer(A100, via_ir=False, cache=MeasurementCache(tmp_path))
+        m = Measurer(A100, cache=MeasurementCache(tmp_path))
         with faults.injected(plan):
             latencies, _ = fleet_sweep(m, SPEC, space, workers=2)
         assert latencies[0] == math.inf
         assert all(math.isfinite(x) for x in latencies[1:])
         # A fresh measurer over the same disk cache re-measures the victim
         # cleanly: the crash-FAILED placeholder was never persisted.
-        m2 = Measurer(A100, via_ir=False, cache=MeasurementCache(tmp_path))
+        m2 = Measurer(A100, cache=MeasurementCache(tmp_path))
         assert math.isfinite(m2.measure(SPEC, victim))
 
     def test_fleet_with_faults_equals_serial_end_to_end(self, space, serial):
@@ -322,7 +322,7 @@ class TestFleetSweep:
                               match="|attempt=0|")],
             seed=9,
         )
-        m = Measurer(A100, via_ir=False)
+        m = Measurer(A100)
         with faults.injected(plan):
             latencies, _ = fleet_sweep(m, SPEC, space, workers=3, shard_size=2)
         assert latencies == serial
@@ -334,7 +334,7 @@ class TestRemoteWorkers:
         from repro.serve.server import ReproServer
 
         server = ReproServer(
-            socket_path=str(tmp_path / "w.sock"), via_ir=False, workers=4,
+            socket_path=str(tmp_path / "w.sock"), workers=4,
         )
         server.start()
         try:
@@ -348,7 +348,7 @@ class TestRemoteWorkers:
             server.shutdown(timeout=10)
 
     def test_remote_only_fleet_matches_serial(self, daemon, space, serial):
-        m = Measurer(A100, via_ir=False)
+        m = Measurer(A100)
         latencies, tel = fleet_sweep(
             m, SPEC, space, workers=0, endpoints=(daemon.socket_path,)
         )
@@ -362,17 +362,6 @@ class TestRemoteWorkers:
         assert result.latencies == serial
         assert result.telemetry.n_workers_peak == 3
 
-    def test_via_ir_mismatch_is_refused(self, daemon, space):
-        """A daemon measuring in the other via_ir mode would return
-        latencies that are not bitwise-comparable; the coordinator must
-        refuse it rather than silently merge foreign bits."""
-        coord = FleetCoordinator(
-            SPEC, space[:4], gpu=A100, via_ir=True, workers=0,
-            endpoints=(daemon.socket_path,), max_shard_retries=0,
-        )
-        with pytest.raises(WorkerCrash, match="via_ir"):
-            coord.run()
-
     def test_dead_endpoint_does_not_hang_the_sweep(self, tmp_path, space, serial):
         """An unreachable endpoint retires its seat after repeated start
         failures; local workers finish the sweep, bits intact."""
@@ -383,7 +372,7 @@ class TestRemoteWorkers:
 
     def test_all_endpoints_dead_aborts_not_hangs(self, tmp_path, space):
         coord = FleetCoordinator(
-            SPEC, space, gpu=A100, via_ir=False, workers=0,
+            SPEC, space, gpu=A100, workers=0,
             endpoints=(str(tmp_path / "nope.sock"),),
         )
         with pytest.raises(WorkerCrash, match="slot"):
@@ -547,7 +536,7 @@ class TestCircuitBreakerRejoin:
 
         sock = str(tmp_path / "late.sock")
         coord = FleetCoordinator(
-            SPEC, space, gpu=A100, via_ir=False, workers=0,
+            SPEC, space, gpu=A100, workers=0,
             endpoints=(sock,), shard_size=2,
             breaker_cooldown_s=0.1, breaker_max_opens=1000,
         )
@@ -555,7 +544,7 @@ class TestCircuitBreakerRejoin:
 
         def boot():
             time.sleep(0.8)
-            server = ReproServer(socket_path=sock, via_ir=False, workers=2)
+            server = ReproServer(socket_path=sock, workers=2)
             server.start()
             started["server"] = server
 

@@ -29,7 +29,7 @@ def space():
 @pytest.fixture(scope="module")
 def clean(space):
     """Fault-free reference sweep."""
-    return Measurer(A100, via_ir=False).sweep(SPEC, space)
+    return Measurer(A100).sweep(SPEC, space)
 
 
 class TestWorkerDeath:
@@ -39,7 +39,7 @@ class TestWorkerDeath:
         plan = faults.FaultPlan(
             [faults.FaultRule("worker", "worker-death", match="#a0")], seed=1
         )
-        m = Measurer(A100, via_ir=False, jobs=2, retries=2)
+        m = Measurer(A100, jobs=2, retries=2)
         with faults.injected(plan):
             got = m.sweep(SPEC, space)
         assert got == clean
@@ -59,7 +59,7 @@ class TestWorkerDeath:
             [faults.FaultRule("worker", "worker-death", match=_cfg_token(SPEC, victim))],
             seed=1,
         )
-        m = Measurer(A100, via_ir=False, jobs=2, retries=1)
+        m = Measurer(A100, jobs=2, retries=1)
         with faults.injected(plan):
             got = m.sweep(SPEC, space)
         assert got[1] == FAILED
@@ -75,7 +75,7 @@ class TestWorkerDeath:
             [faults.FaultRule("worker", "worker-death", match=_cfg_token(SPEC, victim))],
             seed=1,
         )
-        m = Measurer(A100, via_ir=False, jobs=2, retries=0)
+        m = Measurer(A100, jobs=2, retries=0)
         with faults.injected(plan):
             m.sweep(SPEC, space)
             crashes = m.n_crashes
@@ -96,7 +96,7 @@ class TestHang:
             ],
             seed=1,
         )
-        m = Measurer(A100, via_ir=False, jobs=2, trial_timeout_s=0.5, retries=0)
+        m = Measurer(A100, jobs=2, trial_timeout_s=0.5, retries=0)
         with faults.injected(plan):
             got = m.sweep(SPEC, space)
         assert got[2] == FAILED
@@ -119,7 +119,7 @@ class TestCrash:
         plan = faults.FaultPlan(
             [faults.FaultRule("compile", "crash", match="#a0")], seed=1
         )
-        m = Measurer(A100, via_ir=False, jobs=1, retries=2, backoff_s=0.001)
+        m = Measurer(A100, jobs=1, retries=2, backoff_s=0.001)
         with faults.injected(plan):
             got = m.sweep(SPEC, space)
         assert got == clean
@@ -127,7 +127,7 @@ class TestCrash:
 
     def test_serial_persistent_crash_quarantines_not_aborts(self, space):
         plan = faults.FaultPlan([faults.FaultRule("compile", "crash")], seed=1)
-        m = Measurer(A100, via_ir=False, jobs=1, retries=1, backoff_s=0.001)
+        m = Measurer(A100, jobs=1, retries=1, backoff_s=0.001)
         with faults.injected(plan):
             got = m.sweep(SPEC, space)
         assert all(x == FAILED for x in got)
@@ -140,7 +140,7 @@ class TestCrash:
 
         plan = faults.FaultPlan([faults.FaultRule("compile", "crash")], seed=1)
         m = Measurer(
-            A100, via_ir=False, jobs=1, retries=0, backoff_s=0.001,
+            A100, jobs=1, retries=0, backoff_s=0.001,
             cache=MeasurementCache(tmp_path),
         )
         with faults.injected(plan):
@@ -148,7 +148,7 @@ class TestCrash:
         assert all(x == FAILED for x in got)
         assert len(m.cache) == 0
         # A fresh measurer on the same cache compiles cleanly.
-        m2 = Measurer(A100, via_ir=False, cache=MeasurementCache(tmp_path))
+        m2 = Measurer(A100, cache=MeasurementCache(tmp_path))
         clean = m2.sweep(SPEC, space)
         assert all(math.isfinite(x) for x in clean)
 
@@ -159,7 +159,7 @@ class TestCorruptLatency:
             [faults.FaultRule("simulate", "corrupt-latency", rate=0.5, corrupt_factor=100.0)],
             seed=5,
         )
-        m = Measurer(A100, via_ir=False)
+        m = Measurer(A100)
         with faults.injected(plan):
             got = m.sweep(SPEC, space)
         assert all(math.isfinite(x) for x in got)
@@ -175,7 +175,7 @@ class TestCorruptLatency:
         )
         results = []
         for jobs in (2, 3):
-            m = Measurer(A100, via_ir=False, jobs=jobs, retries=2)
+            m = Measurer(A100, jobs=jobs, retries=2)
             with faults.injected(plan):
                 results.append(m.sweep(SPEC, space))
         assert results[0] == results[1]
@@ -199,7 +199,7 @@ class TestZombieReap:
             ],
             seed=1,
         )
-        m = Measurer(A100, via_ir=False, jobs=2, trial_timeout_s=0.5, retries=0)
+        m = Measurer(A100, jobs=2, trial_timeout_s=0.5, retries=0)
         with faults.injected(plan):
             got = m.sweep(SPEC, space)
         assert got[1] == FAILED
@@ -231,7 +231,7 @@ class TestZombieReap:
             [faults.FaultRule("worker", "hang", hang_s=60.0, ignore_sigterm=True)],
             seed=1,
         )
-        m = Measurer(A100, via_ir=False, jobs=2, trial_timeout_s=30.0, retries=0)
+        m = Measurer(A100, jobs=2, trial_timeout_s=30.0, retries=0)
 
         orig_wait = measure_mod.time.monotonic
         calls = {"n": 0}
@@ -287,7 +287,7 @@ class TestTimeoutResultRace:
             timelib.sleep(60.0)
 
         monkeypatch.setattr(measure_mod, "_worker_main", racy_worker_main)
-        m = Measurer(A100, via_ir=False, jobs=1, trial_timeout_s=0.3, retries=0)
+        m = Measurer(A100, jobs=1, trial_timeout_s=0.3, retries=0)
         got = m.measure(SPEC, space[0])
         assert got == 42.0
         assert m.n_timeouts == 0
@@ -305,7 +305,7 @@ class TestTimeoutResultRace:
             timelib.sleep(60.0)
 
         monkeypatch.setattr(measure_mod, "_worker_main", hung_worker_main)
-        m = Measurer(A100, via_ir=False, jobs=1, trial_timeout_s=0.3, retries=0)
+        m = Measurer(A100, jobs=1, trial_timeout_s=0.3, retries=0)
         got = m.measure(SPEC, space[0])
         assert got == FAILED
         assert m.n_timeouts == 1
@@ -313,6 +313,6 @@ class TestTimeoutResultRace:
 
 class TestSweepJobsOverride:
     def test_sweep_jobs_does_not_mutate_measurer(self, space):
-        m = Measurer(A100, via_ir=False, jobs=1)
+        m = Measurer(A100, jobs=1)
         m.sweep(SPEC, space, jobs=2)
         assert m.jobs == 1

@@ -34,7 +34,7 @@ def space():
 @pytest.fixture(scope="module")
 def clean(space):
     """Fault-free serial reference sweep."""
-    return Measurer(A100, via_ir=False).sweep(SPEC, space)
+    return Measurer(A100).sweep(SPEC, space)
 
 
 def _pids(m):
@@ -49,7 +49,7 @@ class TestReuse:
     def test_batches_share_width_many_processes(self, space, clean):
         """A fault-free sweep of several batches forks exactly ``jobs``
         worker processes, once."""
-        with Measurer(A100, via_ir=False, jobs=2) as m:
+        with Measurer(A100, jobs=2) as m:
             got, pids = [], set()
             for i in range(0, len(space), 8):
                 got += m.measure_many(SPEC, space[i:i + 8])
@@ -59,7 +59,7 @@ class TestReuse:
             assert m._pool.spawned == 2
 
     def test_pool_grows_to_widest_call(self, space, clean):
-        with Measurer(A100, via_ir=False, jobs=1) as m:
+        with Measurer(A100, jobs=1) as m:
             assert m.sweep(SPEC, space[:8], jobs=2) == clean[:8]
             assert m.sweep(SPEC, space[8:], jobs=3) == clean[8:]
             assert m.jobs == 1
@@ -71,7 +71,7 @@ class TestRespawn:
         plan = faults.FaultPlan(
             [faults.FaultRule("worker", "worker-death", rate=0.3, match="#a0")], seed=3
         )
-        with Measurer(A100, via_ir=False, jobs=2, retries=2, backoff_s=0.001) as m:
+        with Measurer(A100, jobs=2, retries=2, backoff_s=0.001) as m:
             with faults.injected(plan):
                 got = m.sweep(SPEC, space)
             assert got == clean
@@ -85,7 +85,7 @@ class TestSharing:
     def test_two_threads_get_serial_results(self, space, clean):
         """Two request threads on one ``jobs=2`` measurer take turns on its
         pool; each sees the serial bits and no config is compiled twice."""
-        m = Measurer(A100, via_ir=False, jobs=2)
+        m = Measurer(A100, jobs=2)
         out = [None, None]
 
         def run(i):
@@ -106,7 +106,7 @@ class TestSharing:
         fast thread switching: no lost result, count or double compile."""
         import sys
 
-        m = Measurer(A100, via_ir=False, jobs=3)
+        m = Measurer(A100, jobs=3)
         slices = [slice(0, 16), slice(8, 24), slice(4, 20), slice(0, 24)]
         out = [None] * len(slices)
 
@@ -137,7 +137,7 @@ class TestStaleState:
             [faults.FaultRule("worker", "worker-death", match=_cfg_token(SPEC, victim))],
             seed=1,
         )
-        with Measurer(A100, via_ir=False, jobs=2, retries=1, backoff_s=0.001) as m:
+        with Measurer(A100, jobs=2, retries=1, backoff_s=0.001) as m:
             assert m.measure_many(SPEC, space[:4]) == clean[:4]  # pool starts clean
             with faults.injected(plan):
                 got = m.measure_many(SPEC, space[4:])
@@ -149,23 +149,23 @@ class TestStaleState:
 
     def test_plan_deactivated_after_pool_start_is_dropped(self, space, clean):
         plan = faults.FaultPlan([faults.FaultRule("compile", "crash")], seed=1)
-        with Measurer(A100, via_ir=False, jobs=2, retries=0) as m:
+        with Measurer(A100, jobs=2, retries=0) as m:
             with faults.injected(plan):
                 assert m.measure_many(SPEC, space[:4]) == [FAILED] * 4
             assert m.measure_many(SPEC, space[4:]) == clean[4:]
 
     def test_retargeted_measurer_never_uses_the_old_gpu(self, space):
-        with Measurer(A100, via_ir=False, jobs=2) as m:
+        with Measurer(A100, jobs=2) as m:
             m.sweep(SPEC, space)
             m.gpu = V100
-            assert m.sweep(SPEC, space) == Measurer(V100, via_ir=False).sweep(SPEC, space)
+            assert m.sweep(SPEC, space) == Measurer(V100).sweep(SPEC, space)
 
 
 class TestDeadline:
     def test_deadline_passing_while_queued_raises(self, space):
         """A batch waiting behind another thread's pooled batch gives up at
         its deadline instead of queueing past it."""
-        m = Measurer(A100, via_ir=False, jobs=2)
+        m = Measurer(A100, jobs=2)
         with m._pool.lock:  # another batch holds the pool
             t0 = time.monotonic()
             with pytest.raises(DeadlineExceededError):
@@ -177,7 +177,7 @@ class TestDeadline:
 
 class TestLifecycle:
     def test_close_reaps_workers_and_is_idempotent(self, space, clean):
-        m = Measurer(A100, via_ir=False, jobs=2)
+        m = Measurer(A100, jobs=2)
         m.sweep(SPEC, space[:8])
         pids = _pids(m)
         assert len(pids) == 2 and _alive(pids) == pids
@@ -189,13 +189,13 @@ class TestLifecycle:
         m.close()
 
     def test_context_manager_closes(self, space):
-        with Measurer(A100, via_ir=False, jobs=2) as m:
+        with Measurer(A100, jobs=2) as m:
             m.sweep(SPEC, space[:8])
             pids = _pids(m)
         assert pids and not _alive(pids)
 
     def test_garbage_collected_measurer_reaps_workers(self, space):
-        m = Measurer(A100, via_ir=False, jobs=2)
+        m = Measurer(A100, jobs=2)
         m.sweep(SPEC, space[:8])
         pids = _pids(m)
         assert pids

@@ -10,7 +10,7 @@ from repro.ops import bmm_spec, matmul_spec, reference_matmul
 from repro.tuning import Measurer, SpaceOptions
 
 OPTS = SpaceOptions(max_size=250)
-MEAS = Measurer(via_ir=False)
+MEAS = Measurer()
 
 
 def _alcop(**kw):

@@ -76,16 +76,24 @@ class TestCollect:
 
 class TestMeasurerIntegration:
     def test_sweep_records_stage_breakdown(self):
+        from repro.core.compiler import AlcopCompiler
         from repro.gpusim import A100
+        from repro.schedule import TileConfig
         from repro.tensor import GemmSpec
         from repro.tuning import Measurer, SpaceOptions, enumerate_space
 
         spec = GemmSpec("prof_mm", 1, 128, 128, 128)
         space = enumerate_space(spec, A100, options=SpaceOptions(max_size=6))
-        measurer = Measurer(A100, via_ir=True)
+        measurer = Measurer(A100)
         measurer.sweep(spec, space)
+        # the verification build of the winner, as `repro tune` runs it
+        winner = TileConfig(64, 64, 32, warp_m=32, warp_n=32, chunk_k=16,
+                            smem_stages=2, reg_stages=2)
+        with profiling.collect(measurer.stage_times):
+            AlcopCompiler(A100, measurer=measurer).build(spec, winner)
         recorded = dict(measurer.stage_times)
-        for name in ("schedule", "lower", "transform", "spec-extract", "simulate"):
+        for name in ("schedule", "lower", "transform", "syncheck", "spec-extract",
+                     "simulate"):
             assert recorded.get(name, 0.0) > 0.0, name
         telemetry = measurer.telemetry
         assert dict(telemetry.stage_time_s) == recorded
@@ -99,7 +107,7 @@ class TestMeasurerIntegration:
 
         spec = GemmSpec("prof_static", 1, 128, 128, 128)
         space = enumerate_space(spec, A100, options=SpaceOptions(max_size=4))
-        measurer = Measurer(A100, via_ir=False)
+        measurer = Measurer(A100)
         measurer.sweep(spec, space)
-        assert set(measurer.stage_times) <= {"spec-extract", "simulate"}
+        assert set(measurer.stage_times) == {"spec-extract", "simulate"}
         assert measurer.stage_times.get("simulate", 0.0) > 0.0

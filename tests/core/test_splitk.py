@@ -9,7 +9,7 @@ from repro.ir import validate_kernel
 from repro.ops import bmm_spec, matmul_spec
 from repro.tuning import Measurer, SpaceOptions
 
-MEAS = Measurer(via_ir=False)
+MEAS = Measurer()
 OPTS = SpaceOptions(max_size=250)
 
 

@@ -239,7 +239,7 @@ class TestWaveMemo:
 
         spec = GemmSpec("memo", 1, 256, 256, 512)
         space = enumerate_space(spec, A100, options=SpaceOptions(max_size=40))
-        a, b = Measurer(A100, via_ir=False), Measurer(A100, via_ir=False)
+        a, b = Measurer(A100), Measurer(A100)
         assert a.wave_memo is not b.wave_memo
         a.sweep(spec, space)
         assert b.wave_memo.hits + b.wave_memo.misses == 0

@@ -50,7 +50,7 @@ def test_monsters_do_not_launch():
 
 
 def test_bottleneck_top_picks_compile_fail():
-    meas = Measurer(via_ir=False)
+    meas = Measurer()
     lats = meas.sweep(SPEC, SPACE)
     best = min(x for x in lats if math.isfinite(x))
     order = analytical_rank(SPEC, SPACE, model=bottleneck_latency)
@@ -60,7 +60,7 @@ def test_bottleneck_top_picks_compile_fail():
 
 
 def test_analytical_ranks_unlaunchable_last():
-    meas = Measurer(via_ir=False)
+    meas = Measurer()
     lats = meas.sweep(SPEC, SPACE)
     best = min(x for x in lats if math.isfinite(x))
     order = analytical_rank(SPEC, SPACE, model=predict_latency)

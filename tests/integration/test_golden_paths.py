@@ -22,7 +22,7 @@ from repro.tuning.record import best_in_top_k
 from repro.tuning.tuners import analytical_rank
 
 OPTS = SpaceOptions(max_size=200)
-MEAS = Measurer(via_ir=False)
+MEAS = Measurer()
 
 
 class TestHeadlineClaims:

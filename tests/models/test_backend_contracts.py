@@ -9,7 +9,7 @@ from repro.models import build_bert, estimate_model_latency
 from repro.ops import matmul_spec
 from repro.tuning import Measurer, SpaceOptions
 
-MEAS = Measurer(via_ir=False)
+MEAS = Measurer()
 OPTS = SpaceOptions(max_size=120)
 
 

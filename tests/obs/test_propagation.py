@@ -126,7 +126,7 @@ class TestFleetSide:
     def test_old_worker_done_without_spans_is_tolerated(self):
         """Old worker → new coordinator: a bare ("done", sid) message (no
         spans element) completes the shard cleanly."""
-        worker = LocalProcessWorker(A100, via_ir=False)
+        worker = LocalProcessWorker(A100)
         worker._conn = _ScriptedConn([("result", 0, 0, 5.0, True),
                                       ("done", 0)])
         results = []
@@ -142,14 +142,14 @@ class TestFleetSide:
         matches the serial bits, and the stitched trace stays a single
         valid tree (the requeued attempt's spans fill in)."""
         space = enumerate_space(SPEC, A100, SpaceOptions(max_size=12))
-        serial = Measurer(A100, via_ir=False).sweep(SPEC, space)
+        serial = Measurer(A100).sweep(SPEC, space)
         plan = faults.FaultPlan(
             [faults.FaultRule("fleet", "worker-death", match="|attempt=0|")],
             seed=1)
         tracer = Tracer()
         with activate(tracer, all_threads=True):
             with faults.injected(plan):
-                coord = FleetCoordinator(SPEC, space, gpu=A100, via_ir=False,
+                coord = FleetCoordinator(SPEC, space, gpu=A100,
                                          workers=2, shard_size=3)
                 result = coord.run()
         assert result.latencies == serial
@@ -165,6 +165,6 @@ class TestFleetSide:
 
     def test_untraced_fleet_run_ships_no_spans(self):
         space = enumerate_space(SPEC, A100, SpaceOptions(max_size=8))
-        coord = FleetCoordinator(SPEC, space, gpu=A100, via_ir=False, workers=2)
+        coord = FleetCoordinator(SPEC, space, gpu=A100, workers=2)
         result = coord.run()
         assert len(result.latencies) == len(space)

@@ -86,7 +86,7 @@ class TestDeadlines:
         though the owner's solve keeps running."""
         server = offline_server()
         spec = GemmSpec("serve", 1, PROBLEM["m"], PROBLEM["n"], PROBLEM["k"])
-        key = artifact_key(server.gpu, spec, "alcop", server.measurer.via_ir, SPACE)
+        key = artifact_key(server.gpu, spec, "alcop", SPACE)
         server._inflight[key] = Future()  # an owner that never finishes
         t0 = time.monotonic()
         response = server.handle(

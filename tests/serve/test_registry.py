@@ -47,8 +47,8 @@ def _artifact(key="k" * 64, latency=12.5):
 
 class TestArtifactKey:
     def test_deterministic(self):
-        a = artifact_key(A100, _spec(), "alcop", False, 600, version="v1")
-        b = artifact_key(A100, _spec(), "alcop", False, 600, version="v1")
+        a = artifact_key(A100, _spec(), "alcop", 600, version="v1")
+        b = artifact_key(A100, _spec(), "alcop", 600, version="v1")
         assert a == b and len(a) == 64
 
     @pytest.mark.parametrize(
@@ -57,14 +57,13 @@ class TestArtifactKey:
             {"gpu": V100},
             {"spec": _spec(m=256)},
             {"variant": "tvm-db"},
-            {"via_ir": True},
+            {"spec": _spec(batch=2)},
             {"space_max": 400},
             {"version": "v2"},
         ],
     )
     def test_every_input_invalidates(self, kwargs):
-        base = dict(gpu=A100, spec=_spec(), variant="alcop", via_ir=False,
-                    space_max=600, version="v1")
+        base = dict(gpu=A100, spec=_spec(), variant="alcop", space_max=600, version="v1")
         assert artifact_key(**base) != artifact_key(**{**base, **kwargs})
 
     def test_shares_compiler_version_with_measurement_cache(self):
@@ -72,8 +71,8 @@ class TestArtifactKey:
         measurement cache keys on, so both invalidate together."""
         from repro.tuning.cache import compiler_version_hash
 
-        assert artifact_key(A100, _spec(), "alcop", False, 600) == artifact_key(
-            A100, _spec(), "alcop", False, 600, version=compiler_version_hash()
+        assert artifact_key(A100, _spec(), "alcop", 600) == artifact_key(
+            A100, _spec(), "alcop", 600, version=compiler_version_hash()
         )
 
 

@@ -342,10 +342,9 @@ class TestMeasureOp:
 
         spec, cfgs = self._space()
         result = unix_client.measure(spec, cfgs)
-        local = Measurer(A100, via_ir=False).measure_many(spec, cfgs)
+        local = Measurer(A100).measure_many(spec, cfgs)
         assert result["latencies"] == local
         assert result["persist"] == [True] * len(cfgs)
-        assert result["via_ir"] is False
 
     def test_inf_latency_survives_the_wire(self, unix_server):
         """The FAILED sentinel (math.inf) is not valid strict JSON; the

@@ -120,7 +120,7 @@ class TestCommands:
 
     def test_tune_profile_prints_stage_breakdown(self, capsys):
         argv = ["tune", "--m", "128", "--n", "128", "--k", "256", "--space", "30",
-                "--method", "grid", "--trials", "4", "--profile", "--via-ir"]
+                "--method", "grid", "--trials", "4", "--profile"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "per-stage compile/simulate breakdown" in out

@@ -33,23 +33,22 @@ class TestKeys:
         assert gpu_fingerprint(A100) != gpu_fingerprint(V100)
 
     def test_key_covers_full_measurement_identity(self):
-        base = measurement_key(A100, SPEC, CFG, via_ir=False)
-        assert measurement_key(V100, SPEC, CFG, via_ir=False) != base
-        assert measurement_key(A100, SPEC, CFG, via_ir=True) != base
-        assert measurement_key(A100, SPEC, CFG, via_ir=False, version="other") != base
+        base = measurement_key(A100, SPEC, CFG)
+        assert measurement_key(V100, SPEC, CFG) != base
+        assert measurement_key(A100, SPEC, CFG, version="other") != base
         other_spec = GemmSpec("mm", 1, 256, 256, 512)
-        assert measurement_key(A100, other_spec, CFG, via_ir=False) != base
+        assert measurement_key(A100, other_spec, CFG) != base
         other_cfg = CFG.with_stages(3, 2)
-        assert measurement_key(A100, SPEC, other_cfg, via_ir=False) != base
-        assert measurement_key(A100, SPEC, CFG, via_ir=False) == base
+        assert measurement_key(A100, SPEC, other_cfg) != base
+        assert measurement_key(A100, SPEC, CFG) == base
 
 
 class TestMemoryKeyRegression:
-    """The in-memory key must fold in the GPU spec and the via_ir mode —
-    a measurer retargeted across generations or modes must re-measure."""
+    """The in-memory key must fold in the GPU spec — a measurer retargeted
+    across generations must re-measure."""
 
     def test_gpu_generations_not_conflated(self):
-        m = Measurer(A100, via_ir=False)
+        m = Measurer(A100)
         a100_lat = m.measure(SPEC, CFG)
         m.gpu = V100
         v100_lat = m.measure(SPEC, CFG)
@@ -59,30 +58,29 @@ class TestMemoryKeyRegression:
         m.gpu = A100
         assert m.measure(SPEC, CFG) == a100_lat and m.n_compiled == 2
 
-    def test_via_ir_mode_not_conflated(self):
-        m = Measurer(A100, via_ir=False)
-        static_lat = m.measure(SPEC, CFG)
-        m.via_ir = True
-        ir_lat = m.measure(SPEC, CFG)
-        assert m.n_compiled == 2, "mode flip must recompile, not reuse"
-        assert ir_lat == pytest.approx(static_lat)  # the proven-equal paths
+    def test_via_ir_true_is_refused(self):
+        """There is one measurement mode: the keyword survives only as
+        ``via_ir=False``, which measures exactly like the default."""
+        with pytest.raises(ValueError, match="via_ir"):
+            Measurer(A100, via_ir=True)
+        assert Measurer(A100, via_ir=False).measure(SPEC, CFG) == Measurer(A100).measure(SPEC, CFG)
 
 
 class TestDiskCache:
     def test_round_trip_identical_latencies(self, tmp_path):
-        cold = Measurer(via_ir=False, cache=MeasurementCache(tmp_path))
+        cold = Measurer(cache=MeasurementCache(tmp_path))
         first = cold.sweep(SPEC, SPACE)
         assert cold.n_compiled == len(SPACE)
-        warm = Measurer(via_ir=False, cache=MeasurementCache(tmp_path))
+        warm = Measurer(cache=MeasurementCache(tmp_path))
         second = warm.sweep(SPEC, SPACE)
         assert second == first
         assert warm.n_compiled == 0
         assert warm.n_disk_hits == len(SPACE)
 
     def test_warm_run_at_least_5x_fewer_compiles(self, tmp_path):
-        cold = Measurer(via_ir=False, cache=MeasurementCache(tmp_path))
+        cold = Measurer(cache=MeasurementCache(tmp_path))
         cold.sweep(SPEC, SPACE)
-        warm = Measurer(via_ir=False, cache=MeasurementCache(tmp_path))
+        warm = Measurer(cache=MeasurementCache(tmp_path))
         warm.sweep(SPEC, SPACE)
         assert cold.n_compiled >= 5
         assert warm.n_compiled * 5 <= cold.n_compiled
@@ -90,25 +88,25 @@ class TestDiskCache:
     def test_failed_builds_are_cached(self, tmp_path):
         bad = TileConfig(256, 256, 64, warp_m=64, warp_n=64, chunk_k=16, smem_stages=4)
         spec = GemmSpec("big", 1, 512, 512, 512)
-        cold = Measurer(via_ir=False, cache=MeasurementCache(tmp_path))
+        cold = Measurer(cache=MeasurementCache(tmp_path))
         assert math.isinf(cold.measure(spec, bad))
-        warm = Measurer(via_ir=False, cache=MeasurementCache(tmp_path))
+        warm = Measurer(cache=MeasurementCache(tmp_path))
         assert math.isinf(warm.measure(spec, bad))
         assert warm.n_compiled == 0, "known compile failures must not recompile"
 
     def test_invalidation_on_version_bump(self, tmp_path):
-        v1 = Measurer(via_ir=False, cache=MeasurementCache(tmp_path, version="v1"))
+        v1 = Measurer(cache=MeasurementCache(tmp_path, version="v1"))
         lat = v1.measure(SPEC, CFG)
-        v2 = Measurer(via_ir=False, cache=MeasurementCache(tmp_path, version="v2"))
+        v2 = Measurer(cache=MeasurementCache(tmp_path, version="v2"))
         assert v2.measure(SPEC, CFG) == lat
         assert v2.n_compiled == 1, "a compiler change must orphan old entries"
         # returning to v1 still finds the original entries
-        back = Measurer(via_ir=False, cache=MeasurementCache(tmp_path, version="v1"))
+        back = Measurer(cache=MeasurementCache(tmp_path, version="v1"))
         assert back.measure(SPEC, CFG) == lat and back.n_compiled == 0
 
     def test_shared_dir_keeps_gpus_apart(self, tmp_path):
-        a = Measurer(A100, via_ir=False, cache=MeasurementCache(tmp_path))
-        v = Measurer(V100, via_ir=False, cache=MeasurementCache(tmp_path))
+        a = Measurer(A100, cache=MeasurementCache(tmp_path))
+        v = Measurer(V100, cache=MeasurementCache(tmp_path))
         assert a.measure(SPEC, CFG) != v.measure(SPEC, CFG)
         assert v.n_disk_hits == 0
 
@@ -123,7 +121,7 @@ class TestDiskCache:
         assert reloaded.get("k2") is None
 
     def test_entries_carry_human_readable_meta(self, tmp_path):
-        m = Measurer(via_ir=False, cache=MeasurementCache(tmp_path))
+        m = Measurer(cache=MeasurementCache(tmp_path))
         m.measure(SPEC, CFG)
         entry = json.loads(m.cache.path.read_text().splitlines()[0])
         assert entry["gpu"] == A100.name
@@ -132,42 +130,42 @@ class TestDiskCache:
 
 class TestParallel:
     def test_parallel_sweep_identical_to_serial(self):
-        serial = Measurer(via_ir=False).sweep(SPEC, SPACE)
-        parallel = Measurer(via_ir=False, jobs=4).sweep(SPEC, SPACE)
+        serial = Measurer().sweep(SPEC, SPACE)
+        parallel = Measurer(jobs=4).sweep(SPEC, SPACE)
         assert parallel == serial  # bitwise: same floats, same order
 
     def test_jobs_override_on_sweep(self):
-        m = Measurer(via_ir=False)
+        m = Measurer()
         out = m.sweep(SPEC, SPACE, jobs=2)
         assert m.jobs == 1, "per-sweep override must not stick"
-        assert out == Measurer(via_ir=False).sweep(SPEC, SPACE)
+        assert out == Measurer().sweep(SPEC, SPACE)
 
     def test_duplicates_in_batch_compile_once(self):
-        m = Measurer(via_ir=False, jobs=2)
+        m = Measurer(jobs=2)
         out = m.measure_many(SPEC, [CFG, CFG, CFG.with_stages(2, 1), CFG])
         assert m.n_compiled == 2
         assert out[0] == out[1] == out[3]
 
     def test_parallel_populates_disk_cache(self, tmp_path):
-        cold = Measurer(via_ir=False, cache=MeasurementCache(tmp_path), jobs=4)
+        cold = Measurer(cache=MeasurementCache(tmp_path), jobs=4)
         first = cold.sweep(SPEC, SPACE)
-        warm = Measurer(via_ir=False, cache=MeasurementCache(tmp_path))
+        warm = Measurer(cache=MeasurementCache(tmp_path))
         assert warm.sweep(SPEC, SPACE) == first
         assert warm.n_compiled == 0
 
     def test_parallel_failed_configs_still_inf(self):
         bad = TileConfig(256, 256, 64, warp_m=64, warp_n=64, chunk_k=16, smem_stages=4)
         spec = GemmSpec("big", 1, 512, 512, 512)
-        out = Measurer(via_ir=False, jobs=2).measure_many(spec, [bad, CFG])
+        out = Measurer(jobs=2).measure_many(spec, [bad, CFG])
         assert math.isinf(out[0]) and math.isfinite(out[1])
 
 
 class TestTelemetry:
     def test_counters_partition_the_measurements(self, tmp_path):
-        m = Measurer(via_ir=False, cache=MeasurementCache(tmp_path))
+        m = Measurer(cache=MeasurementCache(tmp_path))
         m.sweep(SPEC, SPACE)
         m.sweep(SPEC, SPACE)  # second sweep: all memory hits
-        warm = Measurer(via_ir=False, cache=MeasurementCache(tmp_path))
+        warm = Measurer(cache=MeasurementCache(tmp_path))
         warm.sweep(SPEC, SPACE)
         tel = m.telemetry
         assert (tel.n_compiled, tel.memory_hits, tel.disk_hits) == (

@@ -26,12 +26,12 @@ MONSTERS = [
 
 class TestMeasurerBest:
     def test_empty_space_raises_compile_error_naming_spec(self):
-        m = Measurer(via_ir=False)
+        m = Measurer()
         with pytest.raises(CompileError, match="allfail"):
             m.best(SPEC, [])
 
     def test_all_failing_space_raises_compile_error(self):
-        m = Measurer(via_ir=False)
+        m = Measurer()
         with pytest.raises(CompileError, match="no configuration"):
             m.best(SPEC, MONSTERS)
 
@@ -39,7 +39,7 @@ class TestMeasurerBest:
 @pytest.mark.parametrize("tuner_cls", [XGBTuner, ModelAssistedXGBTuner])
 class TestTunersOnAllFailingSpace:
     def test_history_is_all_inf_and_best_is_none(self, tuner_cls):
-        tuner = tuner_cls(SPEC, MONSTERS, measurer=Measurer(via_ir=False), seed=0)
+        tuner = tuner_cls(SPEC, MONSTERS, measurer=Measurer(), seed=0)
         history = tuner.tune(len(MONSTERS))
         assert len(history) == len(MONSTERS)
         assert all(math.isinf(r.latency_us) for r in history.records)
@@ -57,7 +57,7 @@ class TestCompilerSearch:
         plan = faults.FaultPlan([faults.FaultRule("compile", "crash")], seed=1)
         c = AlcopCompiler(
             search="xgb", n_trials=6, degrade=False,
-            measurer=Measurer(via_ir=False, retries=0, backoff_s=0.001),
+            measurer=Measurer(retries=0, backoff_s=0.001),
         )
         with faults.injected(plan):
             with pytest.raises(CompileError, match="no valid schedule"):
@@ -68,7 +68,7 @@ class TestCompilerSearch:
         plan = faults.FaultPlan([faults.FaultRule("compile", "crash")], seed=1)
         c = AlcopCompiler(
             search="exhaustive", degrade=False,
-            measurer=Measurer(via_ir=False, retries=0, backoff_s=0.001),
+            measurer=Measurer(retries=0, backoff_s=0.001),
         )
         with faults.injected(plan):
             with pytest.raises(CompileError, match="doomed"):

@@ -52,13 +52,13 @@ class TestAnalyticalRank:
 
 class TestTunerEdgeCases:
     def test_budget_larger_than_space(self):
-        meas = Measurer(via_ir=False)
+        meas = Measurer()
         small = SPACE[:12]
         h = GridSearchTuner(SPEC, small, measurer=meas).tune(50)
         assert len(h) == 12  # exhausted, not stuck
 
     def test_single_config_space(self):
-        meas = Measurer(via_ir=False)
+        meas = Measurer()
         launchable = [c for c in SPACE if meas.measure(SPEC, c) != math.inf][:1]
         h = AnalyticalOnlyTuner(SPEC, launchable, measurer=meas).tune(5)
         assert len(h) == 1

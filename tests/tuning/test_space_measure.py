@@ -80,7 +80,7 @@ class TestSpace:
 
 class TestMeasurer:
     def test_caching(self):
-        m = Measurer(via_ir=False)
+        m = Measurer()
         cfg = TileConfig(64, 64, 32, warp_m=32, warp_n=32, chunk_k=16)
         a = m.measure(SPEC, cfg)
         n = m.n_compiled
@@ -88,18 +88,12 @@ class TestMeasurer:
         assert a == b and m.n_compiled == n
 
     def test_failed_config_returns_inf(self):
-        m = Measurer(via_ir=False)
+        m = Measurer()
         bad = TileConfig(256, 256, 64, warp_m=64, warp_n=64, chunk_k=16, smem_stages=4)
         assert math.isinf(m.measure(GemmSpec("big", 1, 512, 512, 512), bad))
 
-    def test_via_ir_and_static_agree(self):
-        cfg = TileConfig(64, 64, 32, warp_m=32, warp_n=32, chunk_k=16, smem_stages=3, reg_stages=2)
-        ir_lat = Measurer(via_ir=True).measure(SPEC, cfg)
-        st_lat = Measurer(via_ir=False).measure(SPEC, cfg)
-        assert ir_lat == pytest.approx(st_lat)
-
     def test_best_skips_failures(self):
-        m = Measurer(via_ir=False)
+        m = Measurer()
         space = enumerate_space(SPEC, options=SpaceOptions(max_size=60))
         cfg, lat = m.best(SPEC, space)
         assert math.isfinite(lat)

@@ -20,7 +20,7 @@ from repro.tuning import (
 
 SPEC = GemmSpec("mm", 1, 512, 768, 1024)
 SPACE = enumerate_space(SPEC, options=SpaceOptions(max_size=400))
-MEAS = Measurer(via_ir=False)
+MEAS = Measurer()
 BEST = MEAS.best(SPEC, SPACE)[1]
 
 

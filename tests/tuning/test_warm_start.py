@@ -14,7 +14,7 @@ from repro.tuning.record import load_history, save_history
 
 SPEC = GemmSpec("warm", 1, 512, 768, 1024)
 SPACE = enumerate_space(SPEC, options=SpaceOptions(max_size=250))
-MEAS = Measurer(via_ir=False)
+MEAS = Measurer()
 
 
 def _prior_history(n=40, seed=3):
