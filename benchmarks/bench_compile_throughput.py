@@ -25,6 +25,11 @@ PR by the CI artifact:
   5376 configs; capped for ``--smoke``) on a fresh ``jobs=2`` measurer's
   persistent workers against a fresh serial measurer. The two latency
   lists are asserted exactly equal (docs/performance.md).
+* **tuner** — a 64-trial model-assisted tune of ``MM_BERT_FC1`` over its
+  full A100 space: trials/s, and the milliseconds of its ``tuner.fit``
+  (boosted-tree refits) and ``tuner.sa`` (annealing proposals) stages. The
+  tuning history's digest is compared with the one the node-object trees
+  produced (docs/performance.md, "Tuner cost model").
 
 Runs two ways: as a pytest benchmark inside the suite, and as a plain
 script (``python benchmarks/bench_compile_throughput.py --smoke --out
@@ -54,6 +59,12 @@ TRACING_OVERHEAD_CEILING_PCT = 2.0
 #: for it (the full run sweeps the whole 1024³ space).
 POOL_JOBS = 2
 POOL_SMOKE_CONFIGS = 1024
+#: The tuner row's problem and its tuning history's digest (trial config
+#: keys and latency bits, in order), as the node-object boosted trees and
+#: the dataclass-replace annealing neighbours produced it.
+TUNER_OP = "MM_BERT_FC1"
+TUNER_TRIALS = 64
+TUNER_HISTORY_DIGEST = "a89b3161ce489ba4"
 
 
 def _wave_inputs(spec, space, gpu):
@@ -80,6 +91,34 @@ def _best_of(fn, rounds: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _tuner_row() -> dict:
+    import hashlib
+
+    from repro.gpusim import A100
+    from repro.tuning import Measurer, enumerate_space
+    from repro.tuning.tuners import ModelAssistedXGBTuner
+    from repro.workloads import get_operator
+
+    spec = get_operator(TUNER_OP)
+    space = enumerate_space(spec, A100)
+    measurer = Measurer(A100)
+    t0 = time.perf_counter()
+    tuner = ModelAssistedXGBTuner(spec, space, measurer=measurer, gpu=A100, seed=0)
+    history = tuner.tune(TUNER_TRIALS)
+    tune_s = time.perf_counter() - t0
+    trials = [(r.config.key(), r.latency_us.hex()) for r in history.records]
+    digest = hashlib.sha256(repr(trials).encode()).hexdigest()[:16]
+    return {
+        "op": TUNER_OP,
+        "trials": TUNER_TRIALS,
+        "trials_per_s": TUNER_TRIALS / tune_s,
+        "fit_ms": 1e3 * measurer.stage_times.get("tuner.fit", 0.0),
+        "sa_propose_ms": 1e3 * measurer.stage_times.get("tuner.sa", 0.0),
+        "history_digest": digest,
+        "history_identical": digest == TUNER_HISTORY_DIGEST,
+    }
 
 
 def run_experiment(quick: bool, jobs: int = 1) -> dict:
@@ -239,6 +278,7 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
         "pool_configs_per_s": len(pool_space) / pool_s,
         "pool_speedup_vs_serial": pool_serial_s / pool_s,
         "pool_identity_checked": pool_identity_checked,
+        "tuner": _tuner_row(),
     }
 
 
@@ -276,6 +316,13 @@ def format_table(r: dict) -> str:
         f"({r['pool_speedup_vs_serial']:.2f}x, identity "
         f"{'checked' if r['pool_identity_checked'] else 'SKIPPED'})"
     )
+    t = r["tuner"]
+    lines.append(
+        f"tuner ({t['op']}, {t['trials']} trials, model-assisted-xgb): "
+        f"{t['trials_per_s']:6.1f} trials/s, GBT fit {t['fit_ms']:7.1f} ms, "
+        f"SA propose {t['sa_propose_ms']:7.1f} ms, history "
+        f"{'identical' if t['history_identical'] else 'CHANGED'} ({t['history_digest']})"
+    )
     for title, key in (("cold sweep", "stage_time_s"), ("verified builds", "build_stage_time_s")):
         lines.append(f"per-stage breakdown ({title}):")
         total = sum(r[key].values()) or 1.0
@@ -303,6 +350,14 @@ def check_invariants(r: dict) -> None:
         "simulator cost recorded without simulating any wave"
     )
     assert 0.0 <= r["wave_memo_hit_ratio"] <= 1.0, r["wave_memo_hit_ratio"]
+    t = r["tuner"]
+    assert t["trials_per_s"] > 0 and t["fit_ms"] > 0 and t["sa_propose_ms"] > 0, (
+        "tuner row recorded without timing its fit and SA stages"
+    )
+    assert t["history_identical"] is True, (
+        f"tuning history digest {t['history_digest']} differs from "
+        f"{TUNER_HISTORY_DIGEST}: the cost model or the annealer changed a decision"
+    )
     assert r["tracing_overhead_pct"] < TRACING_OVERHEAD_CEILING_PCT, (
         f"tracing-on cold sweep costs {r['tracing_overhead_pct']:.2f}% "
         f"(ceiling {TRACING_OVERHEAD_CEILING_PCT}%): the observability "

@@ -30,7 +30,7 @@ from .. import faults
 from ..codegen import lower
 from ..gpusim.config import A100, GpuSpec
 from ..gpusim.engine import SimResult, simulate_kernel
-from ..gpusim.spec import extract_timing_spec
+from ..gpusim.spec import KernelTimingSpec, extract_timing_spec
 from ..interp import run_kernel
 from ..ir.stmt import Kernel
 from ..perfmodel.static_spec import timing_spec_from_config
@@ -161,6 +161,11 @@ class AlcopCompiler:
         differs from :func:`timing_spec_from_config`: a kernel that would
         not run as it was measured is never returned.
         """
+        return self._build_checked(spec, config)[0]
+
+    def _build_checked(self, spec: GemmSpec, config: TileConfig) -> Tuple[Kernel, KernelTimingSpec]:
+        """:meth:`build`, also returning the timing spec extracted from the
+        built IR, so a caller that simulates the kernel extracts it once."""
         a_shape = (spec.batch, spec.m, spec.k) if spec.batch > 1 else (spec.m, spec.k)
         b_shape = (spec.batch, spec.n, spec.k) if spec.batch > 1 else (spec.n, spec.k)
         a = placeholder("A", a_shape, dtype=spec.dtype)
@@ -184,7 +189,7 @@ class AlcopCompiler:
                 f"spec on field(s) {', '.join(differ)}",
                 diagnostic={f: (getattr(built, f), getattr(measured, f)) for f in differ},
             )
-        return kernel
+        return kernel, built
 
     def compile(self, spec: GemmSpec) -> CompiledKernel:
         """Search, build and time a kernel for ``spec`` (cached)."""
@@ -199,8 +204,8 @@ class AlcopCompiler:
             return hit
         faults.inject("build", token=f"variant={variant};op={spec.name}")
         config = self._search_config(spec, variant)
-        kernel = self.build(spec, config)
-        sim = simulate_kernel(extract_timing_spec(kernel), self.gpu)
+        kernel, timing = self._build_checked(spec, config)
+        sim = simulate_kernel(timing, self.gpu)
         out = CompiledKernel(spec=spec, config=config, kernel=kernel, sim=sim)
         self._cache[key] = out
         return out

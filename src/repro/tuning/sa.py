@@ -8,7 +8,6 @@ promising known points, so it exploits the model while still exploring.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,18 +49,17 @@ class SimulatedAnnealingSampler:
         cached = self._neighbors.get(idx)
         if cached is not None:
             return cached
-        cfg = self.space[idx]
+        # Substitute one knob into the key directly: a combination that
+        # TileConfig would reject is never in the space, so the lookup
+        # misses exactly where constructing the neighbour would raise.
+        key = self.space[idx].key()
         out: List[int] = []
-        for f in _FIELDS:
+        for pos, f in enumerate(_FIELDS):
             vals = self._values[f]
-            cur = vals.index(getattr(cfg, f))
+            cur = vals.index(key[pos])
             for j in (cur - 1, cur + 1):
                 if 0 <= j < len(vals):
-                    try:
-                        candidate = dataclasses.replace(cfg, **{f: vals[j]})
-                    except ValueError:
-                        continue  # knob combination violates tile divisibility
-                    hit = self._index.get(candidate.key())
+                    hit = self._index.get(key[:pos] + (vals[j],) + key[pos + 1:])
                     if hit is not None:
                         out.append(hit)
         self._neighbors[idx] = out

@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..core import profiling
 from ..gpusim.config import A100, GpuSpec
 from ..gpusim.occupancy import CompileError
 from ..perfmodel.batch import predict_latency_batch
@@ -303,7 +304,10 @@ class XGBTuner(Tuner):
             w_parts.append(np.ones(len(configs)))
         if not X_parts:
             return
-        self.model.fit(np.vstack(X_parts), np.concatenate(y_parts), np.concatenate(w_parts))
+        # Tuner stages go to the measurer's breakdown (`repro tune
+        # --profile`) and, when tracing, become spans like compile stages.
+        with profiling.collect(self.measurer.stage_times), profiling.stage("tuner.fit"):
+            self.model.fit(np.vstack(X_parts), np.concatenate(y_parts), np.concatenate(w_parts))
 
     def _features(self, configs: Sequence[TileConfig]) -> np.ndarray:
         rows = []
@@ -332,9 +336,10 @@ class XGBTuner(Tuner):
         self._refit()
         seeds = [r.config for r in sorted(self.history.records, key=lambda r: r.latency_us)[:4]]
         seeds.extend(self._prior_seeds)
-        return self.sampler.propose(
-            self._score_batch, max(n, 1), exclude=self._measured_keys(), seeds=seeds
-        )
+        with profiling.collect(self.measurer.stage_times), profiling.stage("tuner.sa"):
+            return self.sampler.propose(
+                self._score_batch, max(n, 1), exclude=self._measured_keys(), seeds=seeds
+            )
 
 
 class ModelAssistedXGBTuner(XGBTuner):

@@ -58,3 +58,24 @@ def test_tune_refuses_a_drifted_kernel(drifted_epilogue):
             "--method", "grid", "--trials", "4"]
     with pytest.raises(CompileError, match="epilogue_bytes"):
         main(argv)
+
+
+
+def test_compile_extracts_the_ir_spec_once(monkeypatch):
+    """The spec the build check extracts is the one simulated: one IR walk
+    per returned kernel, and the same latency as simulating it afresh."""
+    from repro.core import compiler as compiler_mod
+
+    extract = compiler_mod.extract_timing_spec
+    calls = []
+
+    def counting(kernel):
+        calls.append(kernel)
+        return extract(kernel)
+
+    monkeypatch.setattr(compiler_mod, "extract_timing_spec", counting)
+    compiler = AlcopCompiler(space_options=SpaceOptions(max_size=8))
+    compiled = compiler.compile(SPEC)
+    assert len(calls) == 1
+    fresh = compiler_mod.simulate_kernel(extract(compiled.kernel), compiler.gpu)
+    assert compiled.sim.latency_us == fresh.latency_us

@@ -278,6 +278,18 @@ def test_bench_smoke_checks_simulator_fields(workflow):
     assert "0 <= r['wave_memo_hit_ratio'] <= 1" in cmds
 
 
+def test_bench_smoke_checks_tuner_fields(workflow):
+    """The throughput record must carry the model-assisted tune's trial
+    rate, its GBT-fit and SA-propose stage times, and the identity of its
+    tuning history with the pinned digest, so a slower cost model or one
+    that changed a tuning decision fails the job."""
+    cmds = "\n".join(job_commands(workflow["jobs"]["bench-smoke"]))
+    assert "['tuner']" in cmds
+    assert "t['trials_per_s'] > 0" in cmds
+    assert "t['fit_ms'] > 0 and t['sa_propose_ms'] > 0" in cmds
+    assert "t['history_identical'] is True" in cmds
+
+
 def test_bench_smoke_checks_pool_speedup(workflow):
     """The throughput record must carry the identity-checked jobs=2 pool
     speedup over serial, floored well above the ~0.2 of the old

@@ -126,6 +126,14 @@ class TestCommands:
         assert "per-stage compile/simulate breakdown" in out
         for stage_name in ("schedule", "lower", "transform", "simulate"):
             assert stage_name in out, stage_name
+        # The default model-assisted tuner also accounts its own cost: the
+        # cost-model refits and the simulated-annealing proposals.
+        argv = ["tune", "--m", "128", "--n", "128", "--k", "256", "--space", "30",
+                "--trials", "20", "--profile"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for stage_name in ("tuner.fit", "tuner.sa"):
+            assert any(ln.split()[:1] == [stage_name] for ln in lines), stage_name
 
     def test_tune_prune_ratio_reports_and_matches(self, capsys):
         base = ["tune", "--m", "128", "--n", "128", "--k", "256", "--space", "40",

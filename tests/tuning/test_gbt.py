@@ -56,7 +56,7 @@ class TestRegressionTree:
         X = rng.random((100, 3))
         y = (X[:, 1] > 0.5).astype(float)
         t = RegressionTree(max_depth=1).fit(X, y)
-        assert t._root.feature == 1
+        assert t.nodes[0][0] == 1  # the root's split feature
 
 
 class TestGradientBoosting:
@@ -89,6 +89,14 @@ class TestGradientBoosting:
         assert not m.is_fitted
         m.fit(np.random.default_rng(0).random((10, 1)), np.arange(10.0))
         assert m.is_fitted
+
+    def test_is_fitted_when_target_mean_is_zero_and_no_tree_is_needed(self):
+        # A fit that keeps no tree and has a zero base value is still a fit:
+        # the tuner must score with the model, not with random numbers.
+        X = np.random.default_rng(0).random((10, 2))
+        m = GradientBoostedTrees().fit(X, np.zeros(10))
+        assert m.is_fitted
+        np.testing.assert_array_equal(m.predict(X), np.zeros(10))
 
     def test_invalid_hyperparams(self):
         with pytest.raises(ValueError):

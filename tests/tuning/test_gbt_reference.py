@@ -36,7 +36,10 @@ def _ref_nodes(tree: ref.RegressionTree):
 
 
 def _nodes(tree: RegressionTree):
-    return _ref_nodes(tree)
+    """The same listing from the flat preorder node arrays."""
+    feature, threshold, _, _, value = tree.nodes
+    return [(int(f), float(t).hex(), float(v).hex())
+            for f, t, v in zip(feature, threshold, value)]
 
 
 @st.composite
